@@ -6,7 +6,9 @@ Every subcommand is reproducible from (config JSON, seed) alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import os
 import sys
 import time
 from pathlib import Path
@@ -46,8 +48,22 @@ def _write_curve(path, curve: Sequence[Tuple[int, float]]) -> None:
             fh.write(f"{step},{loss:.8g}\n")
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file written in full or not at all: the rows go to a temp file
+    beside ``path``, which replaces ``path`` only once they are all written."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _write_scores(path, scores: Sequence[Tuple[str, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write("user_id,score\n")
         for uid, score in scores:
             fh.write(f"{uid},{score:.10g}\n")
@@ -78,7 +94,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
     vocab = read_vocab(args.vocab)
-    corpus = read_jsonl(args.data, vocab)
+    corpus = read_jsonl(args.data, vocab.cardinalities)
     model_cfg = cfg.model_config(vocab)
     params, curve = pretrain_loop(corpus, model_cfg, cfg.pretrain_config(),
                                   dtype=_dtype(args.mode))
@@ -101,7 +117,7 @@ def cmd_finetune_sft(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = read_vocab(args.vocab)
     _check_vocab(ckpt.model, vocab)
-    corpus = read_jsonl(args.data, vocab)
+    corpus = read_jsonl(args.data, vocab.cardinalities)
     head_cfg = cfg.head_config()
     params, metrics = sft_mod.finetune_sft(ckpt.params, ckpt.model, corpus,
                                            head_cfg, cfg.sft_config())
@@ -121,7 +137,7 @@ def cmd_finetune_cl(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = read_vocab(args.vocab)
     _check_vocab(ckpt.model, vocab)
-    corpus = read_jsonl(args.data, vocab)
+    corpus = read_jsonl(args.data, vocab.cardinalities)
     params, curve = cl.finetune_contrastive(ckpt.params, ckpt.model, corpus,
                                             cfg.contrastive_config())
     save_checkpoint(args.out, params, ckpt.model, kind="contrastive",
@@ -135,8 +151,17 @@ def cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.head is None:
         raise ValueError("scoring needs an sft checkpoint with a binary head")
-    corpus = read_jsonl(args.data)
-    scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head, corpus)
+    corpus = read_jsonl(args.data, ckpt.model.cardinalities)
+    scorable = []
+    for seq in corpus:
+        # score_users reads the most recent t_max events.
+        n_events = min(len(seq), ckpt.model.t_max)
+        if n_events < ckpt.head.min_events:
+            print(f"skipped {seq.user_id}: {n_events} events, the anomaly head "
+                  f"needs at least {ckpt.head.min_events}", file=sys.stderr)
+        else:
+            scorable.append(seq)
+    scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head, scorable)
     _write_scores(args.out, scores)
     print(f"scored {len(scores)} users -> {args.out}")
     return 0
@@ -160,8 +185,8 @@ def cmd_eval(args) -> int:
 
 def cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = read_jsonl(args.data)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    corpus = read_jsonl(args.data, ckpt.model.cardinalities)
+    with _atomic_open(args.out) as fh:
         header = ",".join(f"e{i}" for i in range(ckpt.model.d_model))
         fh.write(f"user_id,{header}\n")
         for seq in corpus:

@@ -32,7 +32,8 @@ def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                 rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Sequence embeddings: hidden state at each last non-pad position: [N, d_model]."""
     batch = encode_batch(id_arrays, params, cfg)
-    h = causal_forward(batch.x, params, cfg, mode=mode, mask=batch.mask, rng=rng)
+    h = causal_forward(batch.x, params, cfg, mode=mode,
+                       rows_per_seq=batch.rows_per_seq, rng=rng)
     last = np.array([batch.last_row(b) for b in range(batch.batch)])
     return nm.take_rows(h, last)
 
@@ -40,10 +41,9 @@ def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
 def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
                    seq: BehaviorSequence, mode: str = "eval",
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Embedding of one sequence; train mode keeps dropout active so views differ."""
-    ids = ids_array(seq)
-    if ids.shape[0] > cfg.t_max:
-        ids = ids[-cfg.t_max:]
+    """Embedding of one sequence's most recent ``t_max`` events; train mode
+    keeps dropout active so views differ."""
+    ids = ids_array(seq)[-cfg.t_max:]
     return nm.reshape(embed_batch([ids], params, cfg, mode=mode, rng=rng),
                       (cfg.d_model,))
 

@@ -337,8 +337,13 @@ def write_jsonl(path, corpus: Iterable[BehaviorSequence]) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path, vocab: Optional[VocabSpec] = None) -> List[BehaviorSequence]:
-    """Parse a corpus file; malformed lines fail with their line number."""
+def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:
+    """Parse a corpus file; malformed lines fail with their line number.
+
+    With ``cardinalities`` every event must have one token per dimension,
+    each in [0, V_d).
+    """
+    cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.int64)
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -355,20 +360,23 @@ def read_jsonl(path, vocab: Optional[VocabSpec] = None) -> List[BehaviorSequence
             attrs = rec["attrs"]
             if not isinstance(attrs, list) or not attrs:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
-            events = []
-            for t, row in enumerate(attrs):
-                if vocab is not None:
-                    if len(row) != vocab.D:
-                        raise SchemaError(
-                            f"line {lineno}: field 'attrs'[{t}] has {len(row)} values, expected {vocab.D}")
-                    for d, tok in enumerate(row):
-                        if not 0 <= tok < vocab.cardinalities[d]:
-                            raise SchemaError(
-                                f"line {lineno}: field 'attrs'[{t}][{d}]={tok} outside "
-                                f"[0, {vocab.cardinalities[d]})")
-                elif len(row) != len(attrs[0]):
-                    raise SchemaError(f"line {lineno}: field 'attrs' rows have unequal lengths")
-                events.append(BehaviorEvent(tuple(int(x) for x in row)))
+            try:
+                ids = np.array(attrs, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"line {lineno}: field 'attrs' must be rows of integer "
+                                  f"token ids of equal length: {exc}") from exc
+            if ids.ndim != 2:
+                raise SchemaError(f"line {lineno}: field 'attrs' must be a list of rows")
+            if cards is not None:
+                if ids.shape[1] != cards.size:
+                    raise SchemaError(f"line {lineno}: field 'attrs' rows have "
+                                      f"{ids.shape[1]} values, expected {cards.size}")
+                bad = (ids < 0) | (ids >= cards)
+                if bad.any():
+                    t, d = np.argwhere(bad)[0]
+                    raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
+                                      f"outside [0, {cards[d]})")
+            events = [BehaviorEvent(tuple(row)) for row in ids.tolist()]
             onset = rec["anomaly_onset"]
             try:
                 out.append(BehaviorSequence(str(rec["user_id"]), events,

@@ -22,7 +22,7 @@ from .rng import child_rng
 
 __all__ = [
     "ModelConfig", "PretrainConfig", "allocate_widths", "init_params",
-    "param_count", "embed_concat", "EncodedBatch", "encode_batch",
+    "param_count", "EncodedBatch", "encode_batch",
     "causal_forward", "reconstruct_logits", "reconstruction_loss",
     "batch_reconstruction_loss", "pretrain_loop", "pad_batch",
 ]
@@ -159,30 +159,12 @@ def param_count(cfg: ModelConfig) -> int:
     return emb + (cfg.t_max + 2) * dm + cfg.n_layers * (12 * dm * dm + 13 * dm) + 2 * dm
 
 
-def embed_concat(ids: np.ndarray, params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                 offset: int = 0) -> nm.Tensor:
-    """Concatenate per-dimension embeddings and add positional rows.
-
-    ids: [T, D] token ids; row t gets positional[t + offset].
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    t_len = ids.shape[0]
-    if ids.ndim != 2 or ids.shape[1] != cfg.D:
-        raise nm.DimensionError(f"ids must be [T, {cfg.D}], got {ids.shape}")
-    if t_len + offset > cfg.t_max + 1:
-        raise nm.DimensionError(f"sequence length {t_len} (+offset {offset}) exceeds t_max={cfg.t_max}")
-    parts = [nm.take_rows(params[f"embed.{d}"], ids[:, d]) for d in range(cfg.D)]
-    x = nm.concat_cols(parts)
-    pos = nm.take_rows(params["pos"], np.arange(offset, offset + t_len))
-    return nm.add(x, pos)
-
-
 @dataclass
 class EncodedBatch:
-    """Block-diagonal packing of B sequences, each a BOS row + seg_len events."""
+    """B sequences as [B * (seg_len + 1), d_model] rows: per sequence a BOS row,
+    then its events right-padded to seg_len."""
 
     x: nm.Tensor            # [B * (seg_len + 1), d_model]
-    mask: np.ndarray        # additive attention mask, -inf across segments / future
     lengths: np.ndarray     # true (un-padded) event counts per sequence
     seg_len: int            # padded event count per sequence
 
@@ -193,10 +175,6 @@ class EncodedBatch:
     @property
     def rows_per_seq(self) -> int:
         return self.seg_len + 1
-
-    def row_of(self, b: int, t: int) -> int:
-        """Row index of the position that predicts event t of sequence b."""
-        return b * self.rows_per_seq + t
 
     def last_row(self, b: int) -> int:
         """Row holding the hidden state after the last real event of b."""
@@ -214,69 +192,56 @@ def pad_batch(id_arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def _block_causal_mask(batch: int, rows_per_seq: int, dtype) -> np.ndarray:
-    seg = np.repeat(np.arange(batch), rows_per_seq)
-    t = np.tile(np.arange(rows_per_seq), batch)
-    allow = (seg[:, None] == seg[None, :]) & (t[None, :] <= t[:, None])
-    mask = np.where(allow, 0.0, -np.inf).astype(dtype)
-    return mask
-
-
 def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                  cfg: ModelConfig) -> EncodedBatch:
-    """Embed a batch as one block-diagonal sequence with per-segment BOS rows."""
+    """Embed [T_i, D] id arrays: each sequence gets a BOS row at position 0 and
+    its events, their per-dimension embeddings concatenated, at positions 1..T_i."""
+    if any(a.ndim != 2 or a.shape[1] != cfg.D for a in id_arrays):
+        raise nm.DimensionError(f"ids must be [T, {cfg.D}], got "
+                                f"{[a.shape for a in id_arrays]}")
     padded, lengths = pad_batch(id_arrays)
     batch, seg, _ = padded.shape
-    if seg + 1 > cfg.t_max + 1:
+    if seg > cfg.t_max:
         raise nm.DimensionError(f"sequence length {seg} exceeds t_max={cfg.t_max}")
     flat = padded.reshape(batch * seg, cfg.D)
-    # Events of every segment sit at positions 1..seg; position 0 is the BOS row.
-    parts = [nm.take_rows(params[f"embed.{d}"], flat[:, d]) for d in range(cfg.D)]
-    ev = nm.concat_cols(parts)
-    pos_idx = np.tile(np.arange(1, seg + 1), batch)
-    ev = nm.add(ev, nm.take_rows(params["pos"], pos_idx))
-    bos = nm.reshape(params["bos"], (1, cfg.d_model))
-    bos_rows = nm.add(nm.take_rows(bos, np.zeros(batch, dtype=np.int64)),
-                      nm.take_rows(params["pos"], np.zeros(batch, dtype=np.int64)))
-    full = nm.concat_rows([bos_rows, ev])
-    # Interleave: output row b*(seg+1) is BOS b; rows b*(seg+1)+1.. are its events.
-    perm = np.empty(batch * (seg + 1), dtype=np.int64)
-    for b in range(batch):
-        base = b * (seg + 1)
-        perm[base] = b
-        perm[base + 1: base + seg + 1] = batch + b * seg + np.arange(seg)
-    x = nm.take_rows(full, perm)
-    mask = _block_causal_mask(batch, seg + 1, x.data.dtype)
-    return EncodedBatch(x=x, mask=mask, lengths=lengths, seg_len=seg)
+    ev = nm.concat_cols([nm.take_rows(params[f"embed.{d}"], flat[:, d]) for d in range(cfg.D)])
+    table = nm.concat_rows([nm.reshape(params["bos"], (1, cfg.d_model)), ev])
+    # Row 0 of table is BOS, row 1 + b*seg + t is event t of sequence b.
+    rows = np.zeros((batch, seg + 1), dtype=np.int64)
+    rows[:, 1:] = 1 + np.arange(batch * seg).reshape(batch, seg)
+    x = nm.add(nm.take_rows(table, rows.reshape(-1)),
+               nm.take_rows(params["pos"], np.tile(np.arange(seg + 1), batch)))
+    return EncodedBatch(x=x, lengths=lengths, seg_len=seg)
 
 
 def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                   mode: str = "eval", mask: Optional[np.ndarray] = None,
+                   mode: str = "eval", rows_per_seq: Optional[int] = None,
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Pre-norm masked self-attention blocks; strictly causal within segments."""
+    """Pre-norm causal self-attention blocks over [B * R, d_model] rows.
+
+    The rows are B sequences of R = rows_per_seq rows each (one sequence when
+    None). Attention runs per sequence and head under one shared R x R causal
+    mask, so a row sees only the earlier rows of its own sequence.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
     n = x.data.shape[0]
-    if mask is None:
-        mask = _block_causal_mask(1, n, x.data.dtype)
-    dm = cfg.d_model
-    dh = dm // cfg.n_heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
+    r = n if rows_per_seq is None else rows_per_seq
+    if r < 1 or n % r:
+        raise nm.DimensionError(f"{n} rows do not split into sequences of {r}")
+    n_seq, heads = n // r, cfg.n_heads
+    mask = np.triu(np.full((r, r), -np.inf, dtype=x.data.dtype), k=1)
+    inv_sqrt = 1.0 / math.sqrt(cfg.d_model // heads)
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         h = nm.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        q = nm.add(nm.matmul(h, params[f"{pre}.attn.wq"]), params[f"{pre}.attn.bq"])
-        k = nm.add(nm.matmul(h, params[f"{pre}.attn.wk"]), params[f"{pre}.attn.bk"])
-        v = nm.add(nm.matmul(h, params[f"{pre}.attn.wv"]), params[f"{pre}.attn.bv"])
-        heads = []
-        for j in range(cfg.n_heads):
-            lo, hi = j * dh, (j + 1) * dh
-            scores = nm.scale(nm.matmul_t(nm.slice_cols(q, lo, hi),
-                                          nm.slice_cols(k, lo, hi)), inv_sqrt)
-            probs = nm.softmax_rows(nm.add_const(scores, mask))
-            heads.append(nm.matmul(probs, nm.slice_cols(v, lo, hi)))
-        att = nm.add(nm.matmul(nm.concat_cols(heads), params[f"{pre}.attn.wo"]),
+        q, k, v = (nm.split_heads(nm.add(nm.matmul(h, params[f"{pre}.attn.w{c}"]),
+                                         params[f"{pre}.attn.b{c}"]), n_seq, heads)
+                   for c in "qkv")
+        scores = nm.scale(nm.bmm_t(q, k), inv_sqrt)
+        probs = nm.softmax_rows(nm.add_const(scores, mask))
+        att = nm.add(nm.matmul(nm.merge_heads(nm.bmm(probs, v)), params[f"{pre}.attn.wo"]),
                      params[f"{pre}.attn.bo"])
         att = nm.dropout(att, cfg.dropout, rng, train)
         x = nm.add(x, att)
@@ -319,7 +284,8 @@ def batch_reconstruction_loss(batch: EncodedBatch, params: Dict[str, nm.Tensor],
                               mode: str = "train",
                               rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Forward + next-event loss for an encoded batch."""
-    h = causal_forward(batch.x, params, cfg, mode=mode, mask=batch.mask, rng=rng)
+    h = causal_forward(batch.x, params, cfg, mode=mode,
+                       rows_per_seq=batch.rows_per_seq, rng=rng)
     logits = reconstruct_logits(h, params, cfg)
     rows = batch.batch * batch.rows_per_seq
     targets = np.zeros((rows, cfg.D), dtype=np.int64)

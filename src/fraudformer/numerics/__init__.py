@@ -3,9 +3,10 @@
 from .tensor import DimensionError, GradTape, Tensor, active_tape
 from .ops import (
     add, sub, add_n, scale, add_const, mul, mul_const, matmul, matmul_t,
-    relu, layer_norm, dropout, softmax_rows, softmax_ce, conv1d,
-    max_over_time, concat_cols, slice_cols, take_rows, stack_rows,
-    normalize_rows, row_diff, reshape, concat_rows, sum_all,
+    bmm, bmm_t, split_heads, merge_heads, relu, layer_norm, dropout,
+    softmax_rows, softmax_ce, conv1d, max_over_time, concat_cols,
+    slice_cols, take_rows, stack_rows, normalize_rows, row_diff, reshape,
+    concat_rows, sum_all,
 )
 from .optim import Adam, AdamState, NonFiniteGradientError, adam_step
 from .gradcheck import grad_check
@@ -13,7 +14,8 @@ from .gradcheck import grad_check
 __all__ = [
     "DimensionError", "GradTape", "Tensor", "active_tape",
     "add", "sub", "add_n", "scale", "add_const", "mul", "mul_const",
-    "matmul", "matmul_t", "relu", "layer_norm", "dropout", "softmax_rows",
+    "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
+    "relu", "layer_norm", "dropout", "softmax_rows",
     "softmax_ce", "conv1d", "max_over_time", "concat_cols", "slice_cols",
     "take_rows", "stack_rows", "normalize_rows", "row_diff", "reshape", "concat_rows", "sum_all",
     "Adam", "AdamState", "NonFiniteGradientError", "adam_step", "grad_check",

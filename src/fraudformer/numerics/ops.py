@@ -16,7 +16,8 @@ from .tensor import DimensionError, GradTape, Tensor, active_tape
 
 __all__ = [
     "add", "sub", "add_n", "scale", "add_const", "mul", "mul_const",
-    "matmul", "matmul_t", "relu", "layer_norm", "dropout",
+    "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
+    "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
     "concat_cols", "slice_cols", "take_rows", "stack_rows",
     "concat_rows", "normalize_rows", "row_diff", "reshape", "sum_all",
@@ -179,6 +180,82 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
             b.grad += g.T @ a.data
 
     return _maybe_record(out, (a, b), backward)
+
+
+def _check_batched(name: str, a: Tensor, b: Tensor, inner_b: int) -> None:
+    if (a.data.ndim < 3 or a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[inner_b]):
+        raise DimensionError(f"{name}: incompatible shapes {a.data.shape} and {b.data.shape}")
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched product a[..., m, k] @ b[..., k, n] over equal leading axes."""
+    _check_batched("bmm", a, b, -2)
+    out = Tensor(a.data @ b.data)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if a.requires_grad:
+            a.ensure_grad()
+            a.grad += g @ b.data.swapaxes(-1, -2)
+        if b.requires_grad:
+            b.ensure_grad()
+            b.grad += a.data.swapaxes(-1, -2) @ g
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def bmm_t(a: Tensor, b: Tensor) -> Tensor:
+    """Batched a[..., m, k] @ b[..., n, k]^T over equal leading axes; attention scores."""
+    _check_batched("bmm_t", a, b, -1)
+    out = Tensor(a.data @ b.data.swapaxes(-1, -2))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if a.requires_grad:
+            a.ensure_grad()
+            a.grad += g @ b.data
+        if b.requires_grad:
+            b.ensure_grad()
+            b.grad += g.swapaxes(-1, -2) @ a.data
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def split_heads(x: Tensor, n_seq: int, n_heads: int) -> Tensor:
+    """[n_seq*R, n_heads*dh] rows -> [n_seq, n_heads, R, dh] blocks, one per sequence and head."""
+    n, w = x.data.shape
+    if n % n_seq or w % n_heads:
+        raise DimensionError(f"split_heads: {x.data.shape} does not split into "
+                             f"{n_seq} sequences x {n_heads} heads")
+    r, dh = n // n_seq, w // n_heads
+    out = Tensor(x.data.reshape(n_seq, r, n_heads, dh).transpose(0, 2, 1, 3))
+
+    def backward():
+        if out.grad is not None and x.requires_grad:
+            x.ensure_grad()
+            x.grad += out.grad.transpose(0, 2, 1, 3).reshape(n, w)
+
+    return _maybe_record(out, (x,), backward)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[n_seq, n_heads, R, dh] -> [n_seq*R, n_heads*dh]; the inverse of split_heads."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"merge_heads expects [B, H, R, dh], got {x.data.shape}")
+    b, h, r, dh = x.data.shape
+    out = Tensor(x.data.transpose(0, 2, 1, 3).reshape(b * r, h * dh))
+
+    def backward():
+        if out.grad is not None and x.requires_grad:
+            x.ensure_grad()
+            x.grad += out.grad.reshape(b, r, h, dh).transpose(0, 2, 1, 3)
+
+    return _maybe_record(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -59,6 +59,11 @@ class AnomalyHeadConfig:
         return max(self.kernel_sizes)
 
     @property
+    def min_events(self) -> int:
+        """Shortest sequence the head can score: one more than its largest kernel."""
+        return self.min_diff_len + 1
+
+    @property
     def feature_width(self) -> int:
         return len(self.kernel_sizes) * self.filters
 
@@ -99,7 +104,7 @@ def head_features(hdiff: nm.Tensor, cfg: AnomalyHeadConfig,
     if hdiff.data.shape[0] < cfg.min_diff_len:
         raise SequenceTooShortError(
             f"difference sequence of length {hdiff.data.shape[0]} is shorter than "
-            f"the largest kernel ({cfg.min_diff_len}); need >= {cfg.min_diff_len + 1} events")
+            f"the largest kernel ({cfg.min_diff_len}); need >= {cfg.min_events} events")
     pooled = []
     for k in cfg.kernel_sizes:
         conv = nm.conv1d(hdiff, params[f"head.conv{k}.w"], params[f"head.conv{k}.b"])
@@ -134,7 +139,8 @@ def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.T
                        rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes]."""
     batch = encode_batch(id_arrays, backbone, model_cfg)
-    h = causal_forward(batch.x, backbone, model_cfg, mode=mode, mask=batch.mask, rng=rng)
+    h = causal_forward(batch.x, backbone, model_cfg, mode=mode,
+                       rows_per_seq=batch.rows_per_seq, rng=rng)
     feats = [head_features(diff_op(sequence_hidden_rows(h, batch, b)), head_cfg, head)
              for b in range(batch.batch)]
     return _mlp(nm.stack_rows(feats), head_cfg, head, mode, rng)
@@ -254,15 +260,19 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
 
 def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                 head_cfg: AnomalyHeadConfig, corpus: Sequence[BehaviorSequence],
-                batch_size: int = 64, seed: int = 0) -> List[Tuple[str, float]]:
-    """Anomaly probability per user, sorted descending (ties by user_id)."""
+                batch_size: int = 64) -> List[Tuple[str, float]]:
+    """Anomaly probability per user, sorted descending (ties by user_id).
+
+    Each user is scored on their most recent ``t_max`` events, so a score
+    depends only on the checkpoint and that user's events, not on corpus
+    order; the padding a batch adds can move only its last float bits.
+    """
     if head_cfg.n_classes != 2:
         raise ValueError("scoring requires the binary head")
     out = []
     for start in range(0, len(corpus), batch_size):
         chunk = corpus[start:start + batch_size]
-        wrng = child_rng(seed, "score-window", start)
-        ids = [ids_array(window_sample(s, model_cfg.t_max, wrng)) for s in chunk]
+        ids = [ids_array(s)[-model_cfg.t_max:] for s in chunk]
         logits = batch_class_logits(ids, params, model_cfg, head_cfg, params, mode="eval")
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)

@@ -33,6 +33,16 @@ def _check_matmul(rng) -> float:
     return nm.grad_check(lambda: nm.sum_all(nm.matmul(a, b)), [a, b], rng)
 
 
+def _weighted_check(op: Callable, *shapes) -> Callable:
+    """Check of ``op`` on random inputs of ``shapes`` under the loss sum(op(...) * w),
+    with a fixed random w so that each output entry has its own weight."""
+    def check(rng) -> float:
+        xs = [_t(rng, *shape) for shape in shapes]
+        w = nm.Tensor(rng.uniform(-1.0, 1.0, size=op(*xs).data.shape))
+        return nm.grad_check(lambda: nm.sum_all(nm.mul(op(*xs), w)), xs, rng)
+    return check
+
+
 def _check_softmax_ce(rng) -> float:
     logits = _t(rng, 6, 7)
     targets = rng.integers(0, 7, size=6)
@@ -123,6 +133,11 @@ def _check_sft_pipeline(rng) -> float:
 
 CHECKS: Dict[str, Callable] = {
     "matmul": _check_matmul,
+    "bmm": _weighted_check(nm.bmm, (2, 3, 4, 5), (2, 3, 5, 4)),
+    "bmm_t": _weighted_check(nm.bmm_t, (2, 3, 4, 5), (2, 3, 6, 5)),
+    # 2 sequences of 3 rows, 2 heads of width 4
+    "split_heads": _weighted_check(lambda x: nm.split_heads(x, 2, 2), (6, 8)),
+    "merge_heads": _weighted_check(nm.merge_heads, (2, 2, 3, 4)),
     "softmax_ce": _check_softmax_ce,
     "layer_norm": _check_layer_norm,
     "relu": _check_relu,

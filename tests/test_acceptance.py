@@ -22,7 +22,7 @@ from fraudformer.evaluation import (RankEntry, per_class_metrics, roc_auc,
                                     topk_consistent, topk_rank_metrics)
 from fraudformer.model import (ModelConfig, allocate_widths,
                                batch_reconstruction_loss, causal_forward,
-                               embed_concat, encode_batch, init_params,
+                               encode_batch, init_params,
                                param_count, reconstruct_logits,
                                reconstruction_loss)
 from fraudformer.numerics.optim import Adam
@@ -76,7 +76,7 @@ def test_criterion_2_causality():
     base = np.stack([rng.integers(1, v, size=t_len) for v in cards], axis=1)
 
     def logits_of(ids):
-        h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+        h = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
         return np.concatenate([l.data for l in reconstruct_logits(h, params, cfg)],
                               axis=1)
 
@@ -91,9 +91,9 @@ def test_criterion_2_causality():
         while ids[t, d] == old:
             ids[t, d] = rng.integers(1, cards[d])
         got = logits_of(ids)
-        if t > 0:
-            worst_past = max(worst_past, float(np.abs(got[:t] - ref[:t]).max()))
-        if np.abs(got[t:] - ref[t:]).max() > 1e-6:
+        # Row 0 is BOS; row t predicts event t from the events before it.
+        worst_past = max(worst_past, float(np.abs(got[:t + 1] - ref[:t + 1]).max()))
+        if np.abs(got[t + 1:] - ref[t + 1:]).max() > 1e-6:
             future_changed += 1
     ok = worst_past < 1e-12 and future_changed == 100
     check(2, "perturbation at t leaves logits before t unchanged (100 trials)",
@@ -104,14 +104,14 @@ def test_criterion_2_causality():
 
 def tying_probe(params, cfg, ids):
     """One optimizer step on the first embedding table moves both paths."""
-    emb_before = embed_concat(ids, params, cfg).data.copy()
-    h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    emb_before = encode_batch([ids], params, cfg).x.data.copy()
+    h = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     dec_before = reconstruct_logits(h, params, cfg)[0].data.copy()
     opt = Adam(params, lr=0.05)
     params["embed.0"].ensure_grad()[:] = 1.0
     opt.step()
-    emb_after = embed_concat(ids, params, cfg).data
-    h2 = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    emb_after = encode_batch([ids], params, cfg).x.data
+    h2 = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     dec_after = reconstruct_logits(h2, params, cfg)[0].data
     return (not np.allclose(emb_before, emb_after)
             and not np.allclose(dec_before, dec_after))

@@ -8,7 +8,7 @@ import pytest
 from fraudformer.checkpoint import (MAGIC, VERSION, CheckpointError, CrcError,
                                     ShapeError, VersionError, load_checkpoint,
                                     save_checkpoint)
-from fraudformer.model import (causal_forward, embed_concat, init_params,
+from fraudformer.model import (causal_forward, encode_batch, init_params,
                                reconstruct_logits)
 from fraudformer.numerics.optim import Adam
 from fraudformer.sft import AnomalyHeadConfig
@@ -102,11 +102,11 @@ def test_tying_preserved_after_reload(tmp_path):
     ck = load_checkpoint(path)
     params = ck.params
     ids = np.array([[1, 2], [3, 1]])
-    h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    h = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     before = reconstruct_logits(h, params, cfg)[0].data.copy()
     opt = Adam(params, lr=0.05)
     params["embed.0"].ensure_grad()[:] = 1.0
     opt.step()
-    h2 = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    h2 = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     after = reconstruct_logits(h2, params, cfg)[0].data
     assert not np.allclose(before, after)  # one table drives both paths

@@ -163,3 +163,85 @@ def test_cli_vocab_mismatch_detected(tmp_path, capsys):
                          "--out", str(tmp_path / "x.ckpt")])
     assert rc == 1
     assert "vocab" in capsys.readouterr().err
+
+
+# --- score and embed on outside input -----------------------------------------
+
+@pytest.fixture(scope="module")
+def scoring_run(tmp_path_factory):
+    """A corpus, a pretrained checkpoint and an SFT checkpoint, trained briefly."""
+    d = tmp_path_factory.mktemp("scoring")
+    cfgp = write_cfg(d, {
+        "model": {"d_model": 32, "n_layers": 1, "n_heads": 2, "t_max": 16},
+        "pretrain": {"steps": 1, "batch_size": 8},
+        "sft": {"epochs": 1, "batch_size": 8, "filters": 4, "hidden": 8},
+    })
+    data, vocab = d / "d.jsonl", d / "d.jsonl.vocab.json"
+    common = ["--config", cfgp, "--data", str(data), "--vocab", str(vocab)]
+    assert run_subcommand(["gen-data", "--config", cfgp, "--out", str(data)]) == 0
+    assert run_subcommand(["pretrain", *common, "--out", str(d / "pre.ckpt")]) == 0
+    assert run_subcommand(["finetune-sft", *common, "--checkpoint", str(d / "pre.ckpt"),
+                           "--out", str(d / "sft.ckpt")]) == 0
+    return {"data": data, "pre": d / "pre.ckpt", "sft": d / "sft.ckpt",
+            "records": [json.loads(l) for l in data.read_text().splitlines()]}
+
+
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def test_cli_score_skips_short_user(scoring_run, tmp_path, capsys):
+    records = scoring_run["records"]
+    short = dict(records[0], user_id="short", attrs=records[0]["attrs"][:5],
+                 label=0, anomaly_onset=None)
+    data = write_records(tmp_path / "d.jsonl", records[:3] + [short] + records[3:])
+    out = tmp_path / "s.csv"
+    assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(data), "--out", str(out)]) == 0
+    scored = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+    assert scored == {r["user_id"] for r in records}
+    assert "short" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,ckpt", [("score", "sft"), ("embed", "pre")])
+def test_cli_out_of_range_token_names_the_line(scoring_run, tmp_path, capsys, command, ckpt):
+    records = [dict(r) for r in scoring_run["records"]]
+    records[2]["attrs"] = [list(row) for row in records[2]["attrs"]]
+    records[2]["attrs"][-1][0] = 99
+    data = write_records(tmp_path / "d.jsonl", records)
+    out = tmp_path / "out.csv"
+    assert run_subcommand([command, "--checkpoint", str(scoring_run[ckpt]),
+                           "--data", str(data), "--out", str(out)]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, monkeypatch):
+    from fraudformer import sft
+    monkeypatch.setattr(sft, "score_users", lambda *a, **k: [("u1", 0.5), ("u2", "not a score")])
+    out = tmp_path / "s.csv"
+    out.write_text("old\n")
+    assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 1
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, monkeypatch):
+    from fraudformer import contrastive
+    real = contrastive.embed_sequence
+    calls = []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("embedding failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contrastive, "embed_sequence", fail_on_third)
+    out = tmp_path / "e.csv"
+    assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 1
+    assert "embedding failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

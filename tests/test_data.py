@@ -180,7 +180,7 @@ def test_jsonl_round_trip_property(seed):
     os.close(fd)
     try:
         write_jsonl(path, corpus)
-        assert read_jsonl(path, TINY_VOCAB) == corpus
+        assert read_jsonl(path, TINY_VOCAB.cardinalities) == corpus
     finally:
         os.unlink(path)
 
@@ -190,7 +190,7 @@ def test_jsonl_rejects_wrong_attr_width(tmp_path):
     rec = {"user_id": "u0", "attrs": [[1, 2, 3]], "label": 0, "anomaly_onset": None}
     p.write_text(json.dumps(rec) + "\n")
     with pytest.raises(SchemaError, match="line 1"):
-        read_jsonl(p, TINY_VOCAB)
+        read_jsonl(p, TINY_VOCAB.cardinalities)
 
 
 def test_jsonl_rejects_out_of_vocab_id(tmp_path):
@@ -199,7 +199,7 @@ def test_jsonl_rejects_out_of_vocab_id(tmp_path):
     bad = {"user_id": "u1", "attrs": [[1, 9]], "label": 0, "anomaly_onset": None}
     p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(SchemaError, match="line 2"):
-        read_jsonl(p, TINY_VOCAB)
+        read_jsonl(p, TINY_VOCAB.cardinalities)
 
 
 def test_jsonl_rejects_malformed_json(tmp_path):

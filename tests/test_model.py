@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudformer.data import ids_array
 from fraudformer.model import (ModelConfig, PretrainConfig, allocate_widths,
                                batch_reconstruction_loss, causal_forward,
-                               embed_concat, encode_batch, init_params,
-                               param_count, pretrain_loop, reconstruct_logits,
+                               encode_batch, init_params, param_count,
+                               pretrain_loop, reconstruct_logits,
                                reconstruction_loss)
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
@@ -46,16 +48,23 @@ def test_model_config_json_round_trip():
 
 # --- embedding ----------------------------------------------------------------
 
+def hidden(ids, params, cfg):
+    """Hidden rows of one sequence: its BOS row, then one row per event."""
+    return causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
+
+
 def test_embed_concat_shape_and_position():
     cfg = tiny_model_config()
     params = f64_params(cfg)
     ids = np.array([[1, 2], [3, 4], [2, 1]])
-    out = embed_concat(ids, params, cfg)
-    assert out.shape == (3, cfg.d_model)
+    out = encode_batch([ids], params, cfg).x
+    assert out.shape == (4, cfg.d_model)
+    np.testing.assert_allclose(out.data[0], params["bos"].data + params["pos"].data[0],
+                               atol=1e-12)
     expect = np.concatenate([params["embed.0"].data[ids[:, 0]],
                              params["embed.1"].data[ids[:, 1]]], axis=1)
-    expect = expect + params["pos"].data[[0, 1, 2]]
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
+    expect = expect + params["pos"].data[[1, 2, 3]]
+    np.testing.assert_allclose(out.data[1:], expect, atol=1e-12)
 
 
 def test_embed_concat_single_dim_degenerate():
@@ -63,30 +72,36 @@ def test_embed_concat_single_dim_degenerate():
                       n_heads=2, t_max=8, dropout=0.0)
     params = f64_params(cfg)
     ids = np.array([[2], [5]])
-    out = embed_concat(ids, params, cfg)
-    expect = params["embed.0"].data[[2, 5]] + params["pos"].data[[0, 1]]
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
+    out = encode_batch([ids], params, cfg).x
+    expect = params["embed.0"].data[[2, 5]] + params["pos"].data[[1, 2]]
+    np.testing.assert_allclose(out.data[1:], expect, atol=1e-12)
 
 
 def test_embed_concat_changing_one_dim_touches_one_slice():
     cfg = tiny_model_config()
     params = f64_params(cfg)
-    a = embed_concat(np.array([[1, 2]]), params, cfg).data
-    b = embed_concat(np.array([[1, 3]]), params, cfg).data
+    a = encode_batch([np.array([[1, 2]])], params, cfg).x.data
+    b = encode_batch([np.array([[1, 3]])], params, cfg).x.data
     w0 = cfg.d_k[0]
     np.testing.assert_array_equal(a[:, :w0], b[:, :w0])
-    assert not np.array_equal(a[:, w0:], b[:, w0:])
+    np.testing.assert_array_equal(a[0], b[0])
+    assert not np.array_equal(a[1:, w0:], b[1:, w0:])
 
 
 def test_embed_concat_errors():
     cfg = tiny_model_config()
     params = f64_params(cfg)
     with pytest.raises(IndexError):
-        embed_concat(np.array([[9, 1]]), params, cfg)
+        encode_batch([np.array([[9, 1]])], params, cfg)
     with pytest.raises(DimensionError):
-        embed_concat(np.ones((cfg.t_max + 2, 2), dtype=np.int64), params, cfg)
+        encode_batch([np.ones((cfg.t_max + 1, 2), dtype=np.int64)], params, cfg)
+    with pytest.raises(DimensionError):  # one sequence too long spoils the batch
+        encode_batch([np.ones((3, 2), dtype=np.int64),
+                      np.ones((cfg.t_max + 1, 2), dtype=np.int64)], params, cfg)
     with pytest.raises(DimensionError):
-        embed_concat(np.ones((cfg.t_max + 1, 2), dtype=np.int64), params, cfg, offset=1)
+        encode_batch([np.ones((3, 3), dtype=np.int64)], params, cfg)
+    assert encode_batch([np.ones((cfg.t_max, 2), dtype=np.int64)],
+                        params, cfg).x.shape == (cfg.t_max + 1, cfg.d_model)
 
 
 # --- causality ----------------------------------------------------------------
@@ -96,38 +111,48 @@ def test_causal_forward_is_strictly_causal():
     params = f64_params(cfg, seed=3)
     rng = np.random.default_rng(0)
     ids = rng.integers(1, 4, size=(8, 2))
-    base = causal_forward(embed_concat(ids, params, cfg), params, cfg).data
-    for t in (2, 5, 7):
+    base = hidden(ids, params, cfg).data
+    for t in (0, 2, 5, 7):
         mod = ids.copy()
         mod[t, 0] = 1 + (mod[t, 0] % 3)
-        out = causal_forward(embed_concat(mod, params, cfg), params, cfg).data
-        assert np.abs(out[:t] - base[:t]).max() < 1e-12
-        assert np.abs(out[t:] - base[t:]).max() > 1e-8  # non-degenerate
+        out = hidden(mod, params, cfg).data
+        # Row t+1 is the first to see event t.
+        assert np.abs(out[:t + 1] - base[:t + 1]).max() < 1e-12
+        assert np.abs(out[t + 1:] - base[t + 1:]).max() > 1e-8  # non-degenerate
 
 
 def test_causal_forward_t1_single_position():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg)
-    out = causal_forward(embed_concat(np.array([[1, 1]]), params, cfg), params, cfg)
+    out = causal_forward(Tensor(params["bos"].data[None, :]), params, cfg)
     assert out.shape == (1, cfg.d_model)
     assert np.isfinite(out.data).all()
 
 
-def test_block_mask_isolates_segments():
+def test_causal_forward_rejects_ragged_rows():
     cfg = tiny_model_config(dropout=0.0)
+    params = f64_params(cfg)
+    x = encode_batch([np.ones((4, 2), dtype=np.int64)], params, cfg).x
+    with pytest.raises(DimensionError):
+        causal_forward(x, params, cfg, rows_per_seq=2)  # 5 rows
+
+
+@given(lengths=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       pick=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=20, deadline=None)
+def test_hidden_rows_alone_equal_rows_in_batch(lengths, pick, seed):
+    """A sequence's hidden rows do not depend on its batch neighbours, their
+    lengths or the padding they force on it."""
+    cfg = tiny_model_config(n_layers=2, dropout=0.0)
     params = f64_params(cfg, seed=5)
-    from fraudformer.data import BehaviorEvent, BehaviorSequence
-    rng = np.random.default_rng(1)
-    seqs = [[BehaviorEvent((int(rng.integers(1, 4)), int(rng.integers(1, 5)))) for _ in range(5)]
-            for _ in range(2)]
-    def run(pair):
-        arrays = [ids_array(BehaviorSequence(f"u{i}", ev)) for i, ev in enumerate(pair)]
-        enc = encode_batch(arrays, params, cfg)
-        return causal_forward(enc.x, params, cfg, mask=enc.mask).data
-    both = run(seqs)
-    swapped = run([seqs[0], [BehaviorEvent((1, 1))] * 5])
-    rows = 6  # BOS + 5 events
-    np.testing.assert_allclose(both[:rows], swapped[:rows], atol=1e-12)
+    rng = np.random.default_rng(seed)
+    ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
+           for t in lengths]
+    b = pick % len(ids)
+    enc = encode_batch(ids, params, cfg)
+    rows = causal_forward(enc.x, params, cfg, rows_per_seq=enc.rows_per_seq).data
+    mine = rows[b * enc.rows_per_seq: b * enc.rows_per_seq + lengths[b] + 1]
+    np.testing.assert_allclose(mine, hidden(ids[b], params, cfg).data, rtol=0, atol=1e-12)
 
 
 # --- weight tying & parameter count --------------------------------------------
@@ -143,12 +168,12 @@ def test_optimizer_step_on_embedding_moves_decode_logits():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg, seed=2)
     ids = np.array([[1, 2], [3, 1]])
-    h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    h = hidden(ids, params, cfg)
     before = [lg.data.copy() for lg in reconstruct_logits(h, params, cfg)]
     opt = Adam(params, lr=0.05)
     params["embed.0"].ensure_grad()[:] = 1.0
     opt.step()
-    h2 = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+    h2 = hidden(ids, params, cfg)
     after = reconstruct_logits(h2, params, cfg)
     assert not np.allclose(before[0], after[0].data)  # both paths moved together
 
@@ -157,12 +182,10 @@ def test_embedding_gradient_flows_from_both_paths():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg, seed=4)
     ids = np.array([[1, 2], [3, 4], [2, 3]])
-    targets = ids.copy()
-    valid = np.array([True, True, False])
 
     def loss_fn():
-        h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
-        return reconstruction_loss(reconstruct_logits(h, params, cfg), targets, valid)
+        batch = encode_batch([ids], params, cfg)
+        return batch_reconstruction_loss(batch, params, cfg, [ids], mode="eval")
 
     err = grad_check(loss_fn, [params["embed.0"], params["embed.1"]],
                      np.random.default_rng(0), n_probes=20)
@@ -231,11 +254,11 @@ def test_full_model_gradient_check():
     params = f64_params(cfg, seed=6)
     rng = np.random.default_rng(2)
     ids = rng.integers(1, 4, size=(4, 2))
-    targets = rng.integers(1, 4, size=(4, 2))
-    valid = np.array([True, True, True, False])
+    targets = rng.integers(1, 4, size=(5, 2))
+    valid = np.array([True, True, True, True, False])
 
     def loss_fn():
-        h = causal_forward(embed_concat(ids, params, cfg), params, cfg)
+        h = hidden(ids, params, cfg)
         return reconstruction_loss(reconstruct_logits(h, params, cfg), targets, valid)
 
     names = ["embed.0", "pos", "layer0.attn.wq", "layer0.mlp.w1", "ln_f.g"]

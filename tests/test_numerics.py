@@ -39,6 +39,33 @@ def test_matmul_shape_error_names_shapes():
         ops.matmul(t64(np.zeros((1, 2))), t64(np.zeros((3, 1))))
 
 
+def test_bmm_matches_per_matrix_loop():
+    rng = np.random.default_rng(4)
+    a, b, c = rand64(rng, 2, 3, 4, 5), rand64(rng, 2, 3, 5, 6), rand64(rng, 2, 3, 6, 5)
+    prod, prod_t = ops.bmm(a, b).data, ops.bmm_t(a, c).data
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(prod[i, j], a.data[i, j] @ b.data[i, j], atol=1e-12)
+            np.testing.assert_allclose(prod_t[i, j], a.data[i, j] @ c.data[i, j].T, atol=1e-12)
+    with pytest.raises(DimensionError, match="bmm"):
+        ops.bmm(a, c)
+    with pytest.raises(DimensionError, match="bmm_t"):
+        ops.bmm_t(a, b)
+
+
+def test_split_heads_layout_and_merge_inverse():
+    x = rand64(np.random.default_rng(5), 2 * 3, 2 * 4)  # 2 sequences of 3 rows, 2 heads of 4
+    blocks = ops.split_heads(x, 2, 2)
+    assert blocks.shape == (2, 2, 3, 4)
+    for b in range(2):
+        for h in range(2):
+            np.testing.assert_array_equal(blocks.data[b, h],
+                                          x.data[3 * b:3 * b + 3, 4 * h:4 * h + 4])
+    np.testing.assert_array_equal(ops.merge_heads(blocks).data, x.data)
+    with pytest.raises(DimensionError):
+        ops.split_heads(x, 4, 2)
+
+
 def test_softmax_ce_uniform_logits():
     logits = t64(np.zeros((4, 3)))
     loss = ops.softmax_ce(logits, np.array([0, 1, 2, 0]))
@@ -299,3 +326,10 @@ def test_adam_lr_mult_zero_freezes_prefix():
     opt.step()
     np.testing.assert_array_equal(params["backbone.w"].data, before)
     assert not np.array_equal(params["head.w"].data, before)
+
+
+def test_gradcheck_command_lists_the_batched_attention_ops(capsys):
+    from fraudformer.cli import run_subcommand
+    assert run_subcommand(["gradcheck"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert {"bmm", "bmm_t", "split_heads", "merge_heads"} <= listed

@@ -239,6 +239,42 @@ def test_score_users_requires_binary_head(small_planted_corpus):
         score_users({}, mc, head_cfg, small_planted_corpus[:2])
 
 
+@pytest.fixture(scope="module")
+def scoring_model():
+    from fraudformer.data import default_vocab
+    from fraudformer.model import ModelConfig
+    mc = ModelConfig.for_vocab(default_vocab(), d_model=32, n_layers=1, n_heads=2,
+                               t_max=16, dropout=0.1)
+    head_cfg = AnomalyHeadConfig(filters=4, hidden=8)
+    params = init_params(mc, np.random.default_rng(2))
+    params.update(init_head_params(head_cfg, mc.d_model, np.random.default_rng(3)))
+    return params, mc, head_cfg
+
+
+@pytest.fixture(scope="module")
+def mixed_length_corpus():
+    """Users of 8 to 40 events, many of them longer than the model's t_max of 16."""
+    from fraudformer.data import GeneratorConfig, generate_corpus
+    return generate_corpus(GeneratorConfig(n_users=48, fraud_fraction=0.3, t_min=8,
+                                           t_max=40, min_events=8, seed=4))
+
+
+def test_score_users_ignores_corpus_order(scoring_model, mixed_length_corpus):
+    params, mc, head_cfg = scoring_model
+    assert sum(len(s) > mc.t_max for s in mixed_length_corpus) >= 10
+    forward = dict(score_users(params, mc, head_cfg, mixed_length_corpus))
+    backward = dict(score_users(params, mc, head_cfg, mixed_length_corpus[::-1]))
+    assert forward == backward  # bit for bit, every user
+
+
+def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus):
+    params, mc, head_cfg = scoring_model
+    one = dict(score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=1))
+    many = dict(score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=64))
+    assert one.keys() == many.keys()
+    assert max(abs(one[u] - many[u]) for u in one) < 1e-6
+
+
 def test_multiclass_head_trains(small_planted_corpus):
     from fraudformer.data import default_vocab
     from fraudformer.model import ModelConfig
