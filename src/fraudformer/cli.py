@@ -112,6 +112,22 @@ def _check_vocab(model_cfg: ModelConfig, vocab) -> None:
                          f"{model_cfg.cardinalities} vs {vocab.cardinalities}")
 
 
+def _head_readable(corpus: Sequence[BehaviorSequence], model_cfg: ModelConfig,
+                   head_cfg: sft_mod.AnomalyHeadConfig) -> List[BehaviorSequence]:
+    """The users the anomaly head can read; each one too short for it is
+    named on stderr and left out."""
+    kept = []
+    for seq in corpus:
+        # Training windows and scoring both read at most t_max events.
+        n_events = min(len(seq), model_cfg.t_max)
+        if n_events < head_cfg.min_events:
+            print(f"skipped {seq.user_id}: {n_events} events, the anomaly head "
+                  f"needs at least {head_cfg.min_events}", file=sys.stderr)
+        else:
+            kept.append(seq)
+    return kept
+
+
 def cmd_finetune_sft(args) -> int:
     cfg = _load_cfg(args)
     ckpt = load_checkpoint(args.checkpoint)
@@ -119,6 +135,7 @@ def cmd_finetune_sft(args) -> int:
     _check_vocab(ckpt.model, vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
     head_cfg = cfg.head_config()
+    corpus = _head_readable(corpus, ckpt.model, head_cfg)
     params, metrics = sft_mod.finetune_sft(ckpt.params, ckpt.model, corpus,
                                            head_cfg, cfg.sft_config())
     save_checkpoint(args.out, params, ckpt.model, head=head_cfg, kind="sft",
@@ -152,15 +169,7 @@ def cmd_score(args) -> int:
     if ckpt.head is None:
         raise ValueError("scoring needs an sft checkpoint with a binary head")
     corpus = read_jsonl(args.data, ckpt.model.cardinalities)
-    scorable = []
-    for seq in corpus:
-        # score_users reads the most recent t_max events.
-        n_events = min(len(seq), ckpt.model.t_max)
-        if n_events < ckpt.head.min_events:
-            print(f"skipped {seq.user_id}: {n_events} events, the anomaly head "
-                  f"needs at least {ckpt.head.min_events}", file=sys.stderr)
-        else:
-            scorable.append(seq)
+    scorable = _head_readable(corpus, ckpt.model, ckpt.head)
     scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head, scorable)
     _write_scores(args.out, scores)
     print(f"scored {len(scores)} users -> {args.out}")

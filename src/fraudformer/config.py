@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import List
 
 from .contrastive import ContrastiveConfig
 from .data import GeneratorConfig, VocabSpec, default_vocab
@@ -33,7 +32,6 @@ DEFAULTS = {
         "class_mix": [0.125] * 8,
         "t_min": 16,
         "t_max": 64,
-        "min_events": 16,
     },
     "model": {
         "d_model": 64,
@@ -66,9 +64,6 @@ DEFAULTS = {
         "steps": 200,
         "lr": 1e-3,
     },
-    "eval": {
-        "k_fractions": [0.01, 0.001, 0.0001],
-    },
 }
 
 
@@ -100,7 +95,7 @@ class RunConfig:
             n_users=d["n_users"], n_personas=d["n_personas"],
             fraud_fraction=d["fraud_fraction"], class_mix=tuple(d["class_mix"]),
             seed=self.seed, t_min=d["t_min"], t_max=d["t_max"],
-            min_events=d["min_events"], vocab=default_vocab())
+            vocab=default_vocab())
 
     def model_config(self, vocab: VocabSpec) -> ModelConfig:
         m = self.raw["model"]
@@ -131,9 +126,6 @@ class RunConfig:
         c = self.raw["contrastive"]
         return ContrastiveConfig(tau=c["tau"], batch_size=c["batch_size"],
                                  steps=c["steps"], lr=c["lr"], seed=self.seed)
-
-    def k_fractions(self) -> List[float]:
-        return list(self.raw["eval"]["k_fractions"])
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = copy.deepcopy(self.raw)

@@ -7,7 +7,6 @@ objective over temperature-scaled cosine similarities.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,8 +22,6 @@ __all__ = [
     "ContrastiveConfig", "embed_sequence", "embed_batch", "cosine_matrix",
     "infonce_loss", "finetune_contrastive", "mean_alignment",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
@@ -89,6 +86,11 @@ class ContrastiveConfig:
     lr: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 2:
+            raise ValueError(f"contrastive batch_size must be >= 2: InfoNCE needs "
+                             f"in-batch negatives, got {self.batch_size}")
+
 
 def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                          corpus: Sequence[BehaviorSequence], cfg: ContrastiveConfig,
@@ -109,9 +111,6 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
             order.extend(int(i) for i in perm)
             epoch += 1
         picks, order = order[:cfg.batch_size], order[cfg.batch_size:]
-        if len(picks) < 2:
-            log.warning("skipping contrastive batch of size %d at step %d", len(picks), step)
-            continue
         wrng = child_rng(cfg.seed, "cl-window", step)
         ids = [ids_array(window_sample(corpus[i], model_cfg.t_max, wrng)) for i in picks]
         rng_a = child_rng(cfg.seed, "cl-view-a", step)

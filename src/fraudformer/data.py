@@ -1,7 +1,8 @@
 """Multivariate behavior-sequence data model and synthetic corpus generator.
 
-Each event is a vector of D discrete attribute token ids. Token id 0 is
-reserved as PAD in every dimension and never appears in real events.
+A user's events are one [T, D] array of discrete attribute token ids, one
+row per event. Token id 0 is reserved as PAD in every dimension and never
+appears in real events.
 Sequences carry an optional fraud class label (0 = normal, 1..8 = planted
 fraud archetypes) and, for synthetic data, the onset index where the
 fraud regime begins.
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -21,8 +20,8 @@ import numpy as np
 from .rng import child_rng
 
 __all__ = [
-    "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorEvent",
-    "BehaviorSequence", "GeneratorConfig", "default_vocab",
+    "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
+    "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
     "read_jsonl", "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
 ]
@@ -92,40 +91,45 @@ def default_vocab() -> VocabSpec:
     ))
 
 
-@dataclass(frozen=True)
-class BehaviorEvent:
-    """One time step: a length-D vector of attribute token ids."""
-
-    attrs: Tuple[int, ...]
-
-
-@dataclass
+@dataclass(eq=False)
 class BehaviorSequence:
-    """Ordered events for one user, with optional class label and onset."""
+    """One user's events as token ids [T, D], with optional class label and onset.
+
+    ``ids`` is kept as a read-only int64 array; slicing it gives views, so
+    windows share the user's memory. Sequences compare by identity: compare
+    their ``ids`` with ``np.array_equal``.
+    """
 
     user_id: str
-    events: List[BehaviorEvent]
+    ids: np.ndarray
     label: int = 0
     anomaly_onset: Optional[int] = None
 
     def __post_init__(self):
-        if not self.events:
+        ids = self.ids
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 2
+                and np.issubdtype(ids.dtype, np.integer)):
+            raise ValueError(f"sequence {self.user_id!r} needs a 2-D integer ids array")
+        if ids.shape[0] == 0:
             raise ValueError(f"sequence {self.user_id!r} has no events")
-        if len(self.events) > 4096:
+        if ids.shape[0] > 4096:
             raise ValueError(f"sequence {self.user_id!r} exceeds 4096 events")
         if self.anomaly_onset is not None:
-            if not 0 <= self.anomaly_onset < len(self.events):
+            if not 0 <= self.anomaly_onset < ids.shape[0]:
                 raise ValueError(f"anomaly_onset {self.anomaly_onset} outside sequence")
             if self.label == 0:
                 raise ValueError("anomaly_onset requires a nonzero label")
+        # A view, so that the caller's own array stays writeable.
+        self.ids = ids.astype(np.int64, copy=False).view()
+        self.ids.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.ids.shape[0]
 
 
 def ids_array(seq: BehaviorSequence) -> np.ndarray:
-    """Token ids as an int array of shape [T, D]."""
-    return np.array([e.attrs for e in seq.events], dtype=np.int64)
+    """Token ids of shape [T, D]: the sequence's own read-only array, not a copy."""
+    return seq.ids
 
 
 def bucketize_amount(amount: float, buckets: int = 16) -> int:
@@ -149,7 +153,7 @@ def window_sample(seq: BehaviorSequence, window: int, rng: np.random.Generator) 
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    n = len(seq.events)
+    n = len(seq)
     if window >= n:
         start, stop = 0, n
     else:
@@ -161,7 +165,7 @@ def window_sample(seq: BehaviorSequence, window: int, rng: np.random.Generator) 
             onset -= start
         else:
             onset, label = None, 0
-    return BehaviorSequence(seq.user_id, seq.events[start:stop], label, onset)
+    return BehaviorSequence(seq.user_id, seq.ids[start:stop], label, onset)
 
 
 @dataclass
@@ -175,7 +179,6 @@ class GeneratorConfig:
     seed: int = 0
     t_min: int = 16
     t_max: int = 64
-    min_events: int = 16  # high-activity filter applied at the source
     vocab: VocabSpec = field(default_factory=default_vocab)
 
     def __post_init__(self):
@@ -185,8 +188,8 @@ class GeneratorConfig:
             raise ValueError("fraud_fraction must be in [0, 1]")
         if len(self.class_mix) != len(FRAUD_CLASS_NAMES) - 1:
             raise ValueError(f"class_mix needs {len(FRAUD_CLASS_NAMES) - 1} entries")
-        if self.t_min < max(1, self.min_events) or self.t_max < self.t_min:
-            raise ValueError("need min_events <= t_min <= t_max")
+        if self.t_min < 1 or self.t_max < self.t_min:
+            raise ValueError("need 1 <= t_min <= t_max")
 
 
 class _Personas:
@@ -232,7 +235,7 @@ class _Personas:
 
 
 def _draw(cum: np.ndarray, u: float, offset: int) -> int:
-    return offset + int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))
+    return offset + min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
 
 
 def _generate_user(cfg: GeneratorConfig, personas: _Personas, user_index: int) -> BehaviorSequence:
@@ -255,17 +258,17 @@ def _generate_user(cfg: GeneratorConfig, personas: _Personas, user_index: int) -
     cards = vocab.cardinalities
 
     uniforms = rng.random((t_len, vocab.D))
-    prev = [0] * vocab.D
-    events = []
+    ids = np.zeros((t_len, vocab.D), dtype=np.int64)
     for t in range(t_len):
-        attrs = [0] * vocab.D
+        attrs = ids[t]
         for d in range(vocab.D):
             if d == amt_d:
                 continue
             cum = (personas.init_cum if t == 0 else personas.trans_cum)[persona][d]
             off = personas.offsets[d]
             # regime-forced tokens can sit outside the normal band; clamp
-            row = cum if t == 0 else cum[min(max(prev[d] - off, 0), personas.supports[d] - 1)]
+            row = cum if t == 0 else cum[min(max(int(ids[t - 1, d]) - off, 0),
+                                             personas.supports[d] - 1)]
             attrs[d] = _draw(row, uniforms[t, d], off)
         amount = math.exp(rng.normal(personas.log_mu[persona], 1.0)) if amt_d is not None else 0.0
         if onset is not None and t >= onset and (t == onset or rng.random() < 0.6):
@@ -303,24 +306,13 @@ def _generate_user(cfg: GeneratorConfig, personas: _Personas, user_index: int) -
                     attrs[gap_d] = cards[gap_d] - 1
         if amt_d is not None:
             attrs[amt_d] = bucketize_amount(amount, cards[amt_d])
-        prev = attrs
-        events.append(BehaviorEvent(tuple(attrs)))
-    return BehaviorSequence(f"u{user_index:07d}", events, label, onset)
+    return BehaviorSequence(f"u{user_index:07d}", ids, label, onset)
 
 
 def generate_corpus(cfg: GeneratorConfig) -> List[BehaviorSequence]:
-    """Synthesize the full corpus; fully determined by cfg.seed.
-
-    Users are independent, so FRAUDFORMER_THREADS > 1 generates in
-    parallel without changing the output.
-    """
+    """Synthesize the full corpus; fully determined by cfg.seed."""
     personas = _Personas(cfg)
-    n_threads = int(os.environ.get("FRAUDFORMER_THREADS", "1") or "1")
-    indices = range(cfg.n_users)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(lambda u: _generate_user(cfg, personas, u), indices))
-    return [_generate_user(cfg, personas, u) for u in indices]
+    return [_generate_user(cfg, personas, u) for u in range(cfg.n_users)]
 
 
 # --- JSONL corpus I/O ------------------------------------------------------
@@ -330,7 +322,7 @@ def write_jsonl(path, corpus: Iterable[BehaviorSequence]) -> None:
         for seq in corpus:
             rec = {
                 "user_id": seq.user_id,
-                "attrs": [list(e.attrs) for e in seq.events],
+                "attrs": seq.ids.tolist(),
                 "label": seq.label,
                 "anomaly_onset": seq.anomaly_onset,
             }
@@ -376,10 +368,9 @@ def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[Beha
                     t, d = np.argwhere(bad)[0]
                     raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
                                       f"outside [0, {cards[d]})")
-            events = [BehaviorEvent(tuple(row)) for row in ids.tolist()]
             onset = rec["anomaly_onset"]
             try:
-                out.append(BehaviorSequence(str(rec["user_id"]), events,
+                out.append(BehaviorSequence(str(rec["user_id"]), ids,
                                             int(rec["label"]),
                                             None if onset is None else int(onset)))
             except ValueError as exc:

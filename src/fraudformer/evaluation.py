@@ -1,19 +1,18 @@
 """Report metrics: per-class recall/precision/ratio tables, top-k% ranked
 precision/recall, and ROC-AUC. All percentages; undefined cells are kept
-as None and rendered explicitly rather than as zero."""
+as None rather than as zero."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "RankEntry", "ClassRow", "per_class_metrics", "topk_rank_metrics",
-    "roc_auc", "render_class_report", "render_topk_report",
-    "class_report_csv", "topk_report_csv", "topk_consistent",
+    "roc_auc", "render_topk_report", "topk_report_csv", "topk_consistent",
 ]
 
 
@@ -113,34 +112,6 @@ def topk_consistent(row: dict, p_total: int, n_total: int, digits: int = 2) -> b
     implied = row["recall"] / 100.0 * p_total / (row["k"] * n_total) * 100.0
     unit = 10.0 ** -digits
     return abs(round(implied, digits) - round(row["precision"], digits)) <= unit + 1e-12
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "—" if x is None else f"{x:.2f}"
-
-
-def render_class_report(rows: Sequence[ClassRow],
-                        names: Optional[Sequence[str]] = None) -> str:
-    header = ("Label", "Recall (%)", "Precision (%)", "Eval Positive Ratio (%)")
-    table = [header]
-    for r in rows:
-        name = names[r.label] if names else str(r.label)
-        table.append((name, _fmt(r.recall), _fmt(r.precision), f"{r.ratio:.2f}"))
-    widths = [max(len(row[c]) for row in table) for c in range(4)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in table]
-    return "\n".join(lines) + "\n"
-
-
-def class_report_csv(rows: Sequence[ClassRow],
-                     names: Optional[Sequence[str]] = None) -> str:
-    out = ["label,recall_pct,precision_pct,eval_positive_ratio_pct"]
-    for r in rows:
-        name = names[r.label] if names else str(r.label)
-        rec = "" if r.recall is None else f"{r.recall:.6f}"
-        prec = "" if r.precision is None else f"{r.precision:.6f}"
-        out.append(f"{name},{rec},{prec},{r.ratio:.6f}")
-    return "\n".join(out) + "\n"
 
 
 def render_topk_report(rows: Sequence[dict]) -> str:

@@ -305,7 +305,6 @@ class PretrainConfig:
     lr: float = 3e-3
     window: int = 32
     seed: int = 0
-    log_every: int = 10
 
 
 def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,23 +21,15 @@ from .model import ModelConfig, causal_forward, encode_batch
 from .rng import child_rng
 
 __all__ = [
-    "AnomalyHeadConfig", "SamplerConfig", "SftConfig", "diff_op",
+    "AnomalyHeadConfig", "SamplerConfig", "SftConfig",
     "init_head_params", "anomaly_head", "head_features",
-    "imbalanced_batches", "epoch_batches", "finetune_sft", "score_users",
+    "epoch_batches", "finetune_sft", "score_users",
     "sequence_hidden_rows", "batch_class_logits",
 ]
 
 
 class SequenceTooShortError(ValueError):
     pass
-
-
-def diff_op(h: nm.Tensor) -> nm.Tensor:
-    """First-order difference over time: out[t] = H[t+1] - H[t]."""
-    if h.data.shape[0] < 2:
-        raise SequenceTooShortError(
-            f"differencing needs at least 2 time steps, got {h.data.shape[0]}")
-    return nm.row_diff(h)
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,7 @@ def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.T
     batch = encode_batch(id_arrays, backbone, model_cfg)
     h = causal_forward(batch.x, backbone, model_cfg, mode=mode,
                        rows_per_seq=batch.rows_per_seq, rng=rng)
-    feats = [head_features(diff_op(sequence_hidden_rows(h, batch, b)), head_cfg, head)
+    feats = [head_features(nm.row_diff(sequence_hidden_rows(h, batch, b)), head_cfg, head)
              for b in range(batch.batch)]
     return _mlp(nm.stack_rows(feats), head_cfg, head, mode, rng)
 
@@ -178,15 +170,6 @@ def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SamplerConfig,
         picks = rng.integers(0, len(pos_pool), size=n_pos)
         batches.append([pos_pool[int(i)] for i in picks] + [neg_pool[int(i)] for i in chunk])
     return batches
-
-
-def imbalanced_batches(pos_pool: Sequence, neg_pool: Sequence,
-                       cfg: SamplerConfig) -> Iterator[List]:
-    """Endless batch stream; each full pass over the negatives is one epoch."""
-    epoch = 0
-    while True:
-        yield from epoch_batches(pos_pool, neg_pool, cfg, epoch)
-        epoch += 1
 
 
 @dataclass

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fraudformer.data import (BehaviorEvent, BehaviorSequence, GeneratorConfig,
-                              VocabSpec, generate_corpus)
+from fraudformer.data import (BehaviorSequence, GeneratorConfig, VocabSpec,
+                              generate_corpus)
 from fraudformer.model import ModelConfig, init_params
 
 
@@ -31,9 +31,17 @@ def tiny_model_config(**overrides) -> ModelConfig:
 
 def make_sequence(rng: np.random.Generator, vocab: VocabSpec, t_len: int,
                   user_id: str = "u0", label: int = 0, onset=None) -> BehaviorSequence:
-    events = [BehaviorEvent(tuple(int(rng.integers(1, c)) for c in vocab.cardinalities))
-              for _ in range(t_len)]
-    return BehaviorSequence(user_id, events, label, onset)
+    ids = np.array([[int(rng.integers(1, c)) for c in vocab.cardinalities]
+                    for _ in range(t_len)], dtype=np.int64)
+    return BehaviorSequence(user_id, ids, label, onset)
+
+
+def assert_same_corpus(a, b):
+    """Same users, labels, onsets and token ids, in the same order."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.user_id, x.label, x.anomaly_onset) == (y.user_id, y.label, y.anomaly_onset)
+        np.testing.assert_array_equal(x.ids, y.ids)
 
 
 @pytest.fixture(scope="session")

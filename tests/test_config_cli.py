@@ -49,7 +49,6 @@ def test_every_spec_hyperparameter_is_named():
     assert cfg.sft_config().backbone_lr_mult == 0.1
     assert cfg.sft_config().sampler.pos_fraction == 0.25
     assert cfg.contrastive_config().tau == 0.05
-    assert cfg.k_fractions() == [0.01, 0.001, 0.0001]
 
 
 # --- CLI --------------------------------------------------------------------
@@ -182,7 +181,8 @@ def scoring_run(tmp_path_factory):
     assert run_subcommand(["pretrain", *common, "--out", str(d / "pre.ckpt")]) == 0
     assert run_subcommand(["finetune-sft", *common, "--checkpoint", str(d / "pre.ckpt"),
                            "--out", str(d / "sft.ckpt")]) == 0
-    return {"data": data, "pre": d / "pre.ckpt", "sft": d / "sft.ckpt",
+    return {"cfg": cfgp, "data": data, "vocab": vocab,
+            "pre": d / "pre.ckpt", "sft": d / "sft.ckpt",
             "records": [json.loads(l) for l in data.read_text().splitlines()]}
 
 
@@ -202,6 +202,42 @@ def test_cli_score_skips_short_user(scoring_run, tmp_path, capsys):
     scored = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
     assert scored == {r["user_id"] for r in records}
     assert "short" in capsys.readouterr().err
+
+
+def test_cli_finetune_sft_skips_short_user(scoring_run, tmp_path, capsys):
+    records = scoring_run["records"]
+    # A negative is drawn once per epoch, so the short user is always sampled.
+    short = dict(records[0], user_id="short", attrs=records[0]["attrs"][:5],
+                 label=0, anomaly_onset=None)
+    out = tmp_path / "sft.ckpt"
+
+    def finetune(recs):
+        data = write_records(tmp_path / "d.jsonl", recs)
+        return run_subcommand(["finetune-sft", "--config", scoring_run["cfg"],
+                               "--data", str(data), "--vocab", str(scoring_run["vocab"]),
+                               "--checkpoint", str(scoring_run["pre"]), "--out", str(out)])
+
+    assert finetune(records + [short]) == 0
+    assert out.exists()
+    assert "skipped short: 5 events" in capsys.readouterr().err
+    # When the only positive is too short, the positive pool is empty.
+    normals = [r for r in records if r["label"] == 0]
+    out.unlink()
+    assert finetune(normals + [dict(short, label=1, anomaly_onset=0)]) == 1
+    assert "sample pools must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_finetune_cl_rejects_batch_of_one(scoring_run, tmp_path, capsys):
+    # The model comes from the checkpoint; the config sets the contrastive stage.
+    cfgp = write_cfg(tmp_path, {"contrastive": {"batch_size": 1, "steps": 2}})
+    out = tmp_path / "cl.ckpt"
+    assert run_subcommand(["finetune-cl", "--config", cfgp,
+                           "--data", str(scoring_run["data"]),
+                           "--vocab", str(scoring_run["vocab"]),
+                           "--checkpoint", str(scoring_run["pre"]), "--out", str(out)]) == 1
+    assert "batch_size must be >= 2" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command,ckpt", [("score", "sft"), ("embed", "pre")])

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fraudformer.data import (PAD_ID, BehaviorEvent, BehaviorSequence,
-                              GeneratorConfig, SchemaError, VocabSpec,
-                              bucketize_amount, default_vocab, generate_corpus,
-                              ids_array, read_jsonl, read_vocab, window_sample,
+from fraudformer.data import (PAD_ID, BehaviorSequence, GeneratorConfig,
+                              SchemaError, VocabSpec, bucketize_amount,
+                              default_vocab, generate_corpus, ids_array,
+                              read_jsonl, read_vocab, window_sample,
                               write_jsonl, write_vocab)
-from tests.conftest import TINY_VOCAB, make_sequence
+from tests.conftest import TINY_VOCAB, assert_same_corpus, make_sequence
 
 
 # --- vocab & sequence invariants --------------------------------------------
@@ -31,16 +31,33 @@ def test_vocab_rejects_duplicate_names():
 
 
 def test_sequence_rejects_bad_onset():
-    ev = [BehaviorEvent((1, 1))] * 4
+    ids = np.ones((4, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        BehaviorSequence("u", ev, label=1, anomaly_onset=4)
+        BehaviorSequence("u", ids, label=1, anomaly_onset=4)
     with pytest.raises(ValueError):
-        BehaviorSequence("u", ev, label=0, anomaly_onset=2)
+        BehaviorSequence("u", ids, label=0, anomaly_onset=2)
 
 
 def test_sequence_rejects_empty():
     with pytest.raises(ValueError):
-        BehaviorSequence("u", [], 0, None)
+        BehaviorSequence("u", np.zeros((0, 2), dtype=np.int64), 0, None)
+
+
+@pytest.mark.parametrize("ids", [[[1, 1]], np.ones((3, 2)), np.ones(3, dtype=np.int64),
+                                 np.ones((1, 2, 2), dtype=np.int64)])
+def test_sequence_rejects_ids_not_2d_integer(ids):
+    with pytest.raises(ValueError, match="2-D integer"):
+        BehaviorSequence("u", ids)
+
+
+def test_sequence_ids_read_only_int64_view():
+    own = np.ones((3, 2), dtype=np.int32)
+    seq = BehaviorSequence("u", own)
+    assert seq.ids.dtype == np.int64 and not seq.ids.flags.writeable
+    assert own.flags.writeable
+    assert ids_array(seq) is seq.ids
+    with pytest.raises(ValueError):
+        seq.ids[0, 0] = 2
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -66,21 +83,30 @@ def test_bucketize_monotone(a, b):
 
 # --- window sampling ---------------------------------------------------------
 
+def window_starts(seq, window):
+    """Each window's token ids (as bytes) -> its start; the windows must differ."""
+    starts = {seq.ids[s:s + window].tobytes(): s for s in range(len(seq) - window + 1)}
+    assert len(starts) == len(seq) - window + 1
+    return starts
+
+
 def test_window_full_length_is_identity():
     rng = np.random.default_rng(0)
     seq = make_sequence(rng, TINY_VOCAB, 10)
     out = window_sample(seq, 10, rng)
-    assert out.events == seq.events
+    np.testing.assert_array_equal(out.ids, seq.ids)
+    assert np.shares_memory(out.ids, seq.ids)  # a view, not a copy
 
 
 def test_window_onset_outside_resets_label():
     rng = np.random.default_rng(1)
     base = make_sequence(rng, TINY_VOCAB, 50)
-    seq = BehaviorSequence(base.user_id, base.events, label=3, anomaly_onset=5)
+    seq = BehaviorSequence(base.user_id, base.ids, label=3, anomaly_onset=5)
+    starts = window_starts(seq, 20)
     # Draw until the window starts past the onset.
     for attempt in range(200):
         out = window_sample(seq, 20, np.random.default_rng(attempt))
-        if out.events != seq.events[:20] and seq.events.index(out.events[0]) > 5:
+        if starts[out.ids.tobytes()] > 5:
             assert out.label == 0 and out.anomaly_onset is None
             return
     pytest.fail("never sampled a window past the onset")
@@ -89,23 +115,26 @@ def test_window_onset_outside_resets_label():
 def test_window_onset_inside_reindexed():
     rng = np.random.default_rng(2)
     base = make_sequence(rng, TINY_VOCAB, 30)
-    seq = BehaviorSequence(base.user_id, base.events, label=2, anomaly_onset=29)
-    out = window_sample(seq, 10, np.random.default_rng(0))
-    # Window must end at the sequence end to contain onset 29.
-    if out.anomaly_onset is not None:
-        assert out.events[out.anomaly_onset] == seq.events[29]
-        assert out.label == 2
+    seq = BehaviorSequence(base.user_id, base.ids, label=2, anomaly_onset=29)
+    # Draw until the window ends at the sequence end, the only one holding onset 29.
+    for attempt in range(200):
+        out = window_sample(seq, 10, np.random.default_rng(attempt))
+        if out.anomaly_onset is not None:
+            assert out.anomaly_onset == 9 and out.label == 2
+            np.testing.assert_array_equal(out.ids[out.anomaly_onset], seq.ids[29])
+            return
+    pytest.fail("never sampled a window holding the onset")
 
 
 def test_window_start_uniformity_chi2():
     rng = np.random.default_rng(3)
     seq = make_sequence(rng, TINY_VOCAB, 100)
     starts = []
-    first_events = {id(e): i for i, e in enumerate(seq.events)}
+    start_of = window_starts(seq, 32)
     draw = np.random.default_rng(0)
     for _ in range(10_000):
         out = window_sample(seq, 32, draw)
-        starts.append(first_events[id(out.events[0])])
+        starts.append(start_of[out.ids.tobytes()])
     counts = np.bincount(starts, minlength=69)
     assert len(counts) == 69  # starts 0..68
     _, p = stats.chisquare(counts)
@@ -115,7 +144,7 @@ def test_window_start_uniformity_chi2():
 # --- generator ---------------------------------------------------------------
 
 def test_generator_fraud_fraction_zero():
-    cfg = GeneratorConfig(n_users=60, fraud_fraction=0.0, t_min=8, t_max=12, min_events=8, seed=0)
+    cfg = GeneratorConfig(n_users=60, fraud_fraction=0.0, t_min=8, t_max=12, seed=0)
     corpus = generate_corpus(cfg)
     assert len(corpus) == 60
     assert all(s.label == 0 and s.anomaly_onset is None for s in corpus)
@@ -125,17 +154,14 @@ def test_generator_fraud_fraction_one_fixed_class():
     mix = [0.0] * 8
     mix[2] = 1.0  # class id 3
     cfg = GeneratorConfig(n_users=40, fraud_fraction=1.0, class_mix=tuple(mix),
-                          t_min=8, t_max=12, min_events=8, seed=0)
+                          t_min=8, t_max=12, seed=0)
     corpus = generate_corpus(cfg)
     assert all(s.label == 3 and s.anomaly_onset is not None for s in corpus)
 
 
-def test_generator_determinism_and_thread_independence(monkeypatch):
-    cfg = GeneratorConfig(n_users=50, fraud_fraction=0.1, t_min=8, t_max=16, min_events=8, seed=9)
-    a = generate_corpus(cfg)
-    monkeypatch.setenv("FRAUDFORMER_THREADS", "4")
-    b = generate_corpus(cfg)
-    assert a == b
+def test_generator_determinism():
+    cfg = GeneratorConfig(n_users=50, fraud_fraction=0.1, t_min=8, t_max=16, seed=9)
+    assert_same_corpus(generate_corpus(cfg), generate_corpus(cfg))
 
 
 def test_generator_events_within_vocab_bounds():
@@ -151,10 +177,10 @@ def test_generator_events_within_vocab_bounds():
 
 
 def test_generator_label_onset_consistency():
-    cfg = GeneratorConfig(n_users=300, fraud_fraction=0.3, t_min=8, t_max=24, min_events=8, seed=2)
+    cfg = GeneratorConfig(n_users=300, fraud_fraction=0.3, t_min=8, t_max=24, seed=2)
     for seq in generate_corpus(cfg):
         assert (seq.label != 0) == (seq.anomaly_onset is not None)
-        assert len(seq) >= cfg.min_events
+        assert len(seq) >= cfg.t_min
 
 
 # --- JSONL I/O ----------------------------------------------------------------
@@ -180,7 +206,7 @@ def test_jsonl_round_trip_property(seed):
     os.close(fd)
     try:
         write_jsonl(path, corpus)
-        assert read_jsonl(path, TINY_VOCAB.cardinalities) == corpus
+        assert_same_corpus(read_jsonl(path, TINY_VOCAB.cardinalities), corpus)
     finally:
         os.unlink(path)
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraudformer.evaluation import (ClassRow, RankEntry, class_report_csv,
-                                    per_class_metrics, render_class_report,
+from fraudformer.evaluation import (RankEntry, per_class_metrics,
                                     render_topk_report, roc_auc, topk_consistent,
                                     topk_rank_metrics, topk_report_csv)
 
@@ -188,18 +187,7 @@ def test_consistency_exact_on_computed_reports():
 
 # --- rendering -----------------------------------------------------------------------
 
-def test_render_class_report_marks_undefined():
-    rows = [ClassRow(0, 100.0, 100.0, 90.0), ClassRow(1, None, None, 10.0)]
-    text = render_class_report(rows)
-    assert "—" in text and "100.00" in text
-
-
 def test_csv_reports_round_trip_columns():
-    rows = [ClassRow(0, 50.0, 25.0, 75.0), ClassRow(1, None, 10.0, 25.0)]
-    csv_text = class_report_csv(rows)
-    header = csv_text.splitlines()[0]
-    assert "recall" in header and "precision" in header
-
     rng = np.random.default_rng(5)
     e = entries_from(rng.random(100), [1] * 5 + [0] * 95)
     topk = topk_rank_metrics(e, [0.05])

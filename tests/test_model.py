@@ -17,7 +17,7 @@ from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
 from fraudformer.numerics.optim import Adam
 from fraudformer.numerics.tensor import DimensionError, GradTape, Tensor
-from tests.conftest import f64_params, tiny_model_config
+from tests.conftest import TINY_VOCAB, f64_params, make_sequence, tiny_model_config
 
 
 # --- config & widths ----------------------------------------------------------
@@ -292,7 +292,6 @@ def test_pretrain_determinism(tiny_corpus):
 
 def test_pretrain_overfits_tiny_corpus():
     rng = np.random.default_rng(0)
-    from tests.conftest import TINY_VOCAB, make_sequence
     corpus = [make_sequence(rng, TINY_VOCAB, 16, f"u{i:03d}") for i in range(32)]
     cfg = ModelConfig(cardinalities=(4, 5), d_k=(32, 32), d_model=64, n_layers=2,
                       n_heads=4, t_max=16, dropout=0.0)
@@ -314,10 +313,9 @@ def test_pretrain_initial_loss_near_uniform(tiny_corpus):
 def test_batch_loss_ignores_padding():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg, seed=11)
-    from fraudformer.data import BehaviorEvent, BehaviorSequence
     rng = np.random.default_rng(3)
-    short = BehaviorSequence("a", [BehaviorEvent((int(rng.integers(1, 4)), int(rng.integers(1, 5)))) for _ in range(3)])
-    long = BehaviorSequence("b", [BehaviorEvent((int(rng.integers(1, 4)), int(rng.integers(1, 5)))) for _ in range(7)])
+    short = make_sequence(rng, TINY_VOCAB, 3, "a")
+    long = make_sequence(rng, TINY_VOCAB, 7, "b")
 
     def batch_loss(seqs):
         arrays = [ids_array(s) for s in seqs]

@@ -5,11 +5,11 @@ import pytest
 
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
-from fraudformer.numerics.tensor import Tensor
+from fraudformer.numerics.tensor import DimensionError, Tensor
 from fraudformer.sft import (AnomalyHeadConfig, SamplerConfig, SequenceTooShortError,
-                             SftConfig, anomaly_head, batch_class_logits, diff_op,
+                             SftConfig, anomaly_head, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
-                             imbalanced_batches, init_head_params, score_users)
+                             init_head_params, score_users)
 from fraudformer.model import init_params
 from tests.conftest import f64_params, tiny_model_config
 
@@ -22,12 +22,12 @@ def head64(cfg, d_model, seed=0):
 
 def test_diff_op_constant_rows_are_zero():
     h = Tensor(np.tile([1.0, -2.0, 3.0], (5, 1)))
-    np.testing.assert_array_equal(diff_op(h).data, 0.0)
+    np.testing.assert_array_equal(ops.row_diff(h).data, 0.0)
 
 
 def test_diff_op_hand_case():
     h = Tensor(np.array([[1.0], [3.0], [2.0]]))
-    np.testing.assert_allclose(diff_op(h).data, [[2.0], [-1.0]])
+    np.testing.assert_allclose(ops.row_diff(h).data, [[2.0], [-1.0]])
 
 
 def test_diff_op_shift_invariance():
@@ -36,14 +36,14 @@ def test_diff_op_shift_invariance():
     c = rng.standard_normal(4)
     # Row-constant shifts cancel; 64-bit rounding of (a+c)-(b+c) still leaves
     # a few ulps, so compare at 1e-12 rather than bitwise.
-    np.testing.assert_allclose(diff_op(Tensor(h, dtype=np.float64)).data,
-                               diff_op(Tensor(h + c, dtype=np.float64)).data,
+    np.testing.assert_allclose(ops.row_diff(Tensor(h, dtype=np.float64)).data,
+                               ops.row_diff(Tensor(h + c, dtype=np.float64)).data,
                                atol=1e-12)
 
 
 def test_diff_op_too_short():
-    with pytest.raises(SequenceTooShortError):
-        diff_op(Tensor(np.ones((1, 4))))
+    with pytest.raises(DimensionError, match="at least 2 rows"):
+        ops.row_diff(Tensor(np.ones((1, 4))))
 
 
 # --- anomaly head ---------------------------------------------------------------
@@ -117,10 +117,11 @@ def test_sampler_negative_epoch_coverage():
 
 def test_sampler_positive_repetition_pigeonhole():
     cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=2)
-    stream = imbalanced_batches(["x", "y", "z"], list(range(300)), cfg)
-    draws = []
-    for _, batch in zip(range(100), stream):
-        draws.extend(x for x in batch if isinstance(x, str))
+    # 300 negatives at 6 per batch: two consecutive epochs of 50 batches.
+    batches = [b for epoch in range(2)
+               for b in epoch_batches(["x", "y", "z"], list(range(300)), cfg, epoch)]
+    assert len(batches) == 100
+    draws = [x for batch in batches for x in batch if isinstance(x, str)]
     # 100 batches x 2 positives from a pool of 3: repetition is forced.
     assert min(draws.count(c) for c in "xyz") > 10
 
@@ -196,11 +197,11 @@ def test_finetune_toy_accuracy_and_determinism(small_planted_corpus):
 
 
 def test_finetune_rejects_label_out_of_range(small_planted_corpus):
-    from fraudformer.data import BehaviorEvent, BehaviorSequence, default_vocab
+    from fraudformer.data import BehaviorSequence, default_vocab
     from fraudformer.model import ModelConfig
     mc = ModelConfig.for_vocab(default_vocab(), d_model=32, n_layers=1, n_heads=2,
                                t_max=16, dropout=0.1)
-    bad = BehaviorSequence("bad", small_planted_corpus[0].events, label=7,
+    bad = BehaviorSequence("bad", small_planted_corpus[0].ids, label=7,
                            anomaly_onset=1)
     head_cfg = AnomalyHeadConfig(n_classes=2)
     backbone = init_params(mc, np.random.default_rng(0))
@@ -256,7 +257,7 @@ def mixed_length_corpus():
     """Users of 8 to 40 events, many of them longer than the model's t_max of 16."""
     from fraudformer.data import GeneratorConfig, generate_corpus
     return generate_corpus(GeneratorConfig(n_users=48, fraud_fraction=0.3, t_min=8,
-                                           t_max=40, min_events=8, seed=4))
+                                           t_max=40, seed=4))
 
 
 def test_score_users_ignores_corpus_order(scoring_model, mixed_length_corpus):
