@@ -11,7 +11,9 @@ construction.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from .sft import AnomalyHeadConfig
 
 __all__ = [
     "MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint",
-    "CheckpointError", "CrcError", "VersionError", "ShapeError",
+    "atomic_open", "CheckpointError", "CrcError", "VersionError", "ShapeError",
 ]
 
 MAGIC = b"FFCK"
@@ -57,6 +59,21 @@ class Checkpoint:
     meta: dict
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file written in full or not at all: the block writes ``<path>.tmp``,
+    which replaces ``path`` only once the block has ended without error."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_checkpoint(path, params: Dict[str, Tensor], model: ModelConfig,
                     head: Optional[AnomalyHeadConfig] = None,
                     kind: str = "pretrain", meta: Optional[dict] = None) -> None:
@@ -84,7 +101,7 @@ def save_checkpoint(path, params: Dict[str, Tensor], model: ModelConfig,
         struct.pack("<Q", len(man_bytes)), man_bytes,
         *blobs,
     ])
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
 

@@ -6,7 +6,6 @@ Every subcommand is reproducible from (config JSON, seed) alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 from . import contrastive as cl
 from . import evaluation as ev
 from . import sft as sft_mod
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import (BehaviorSequence, default_vocab, generate_corpus,
                    read_jsonl, read_vocab, write_jsonl, write_vocab)
@@ -42,28 +41,14 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _write_curve(path, curve: Sequence[Tuple[int, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("step,loss\n")
         for step, loss in curve:
             fh.write(f"{step},{loss:.8g}\n")
 
 
-@contextlib.contextmanager
-def _atomic_open(path):
-    """A text file written in full or not at all: the rows go to a temp file
-    beside ``path``, which replaces ``path`` only once they are all written."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _write_scores(path, scores: Sequence[Tuple[str, float]]) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write("user_id,score\n")
         for uid, score in scores:
             fh.write(f"{uid},{score:.10g}\n")
@@ -141,7 +126,7 @@ def cmd_finetune_sft(args) -> int:
     save_checkpoint(args.out, params, ckpt.model, head=head_cfg, kind="sft",
                     meta={"epochs": len(metrics), "seed": cfg.seed})
     metrics_path = args.metrics or str(args.out) + ".metrics.csv"
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(metrics_path) as fh:
         fh.write("epoch,loss,accuracy\n")
         for m in metrics:
             fh.write(f"{m['epoch']},{m['loss']:.8g},{m['accuracy']:.8g}\n")
@@ -187,7 +172,7 @@ def cmd_eval(args) -> int:
     auc = ev.roc_auc(entries)
     print(f"ROC-AUC: {auc:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(ev.topk_report_csv(rows))
     return 0
 
@@ -195,7 +180,7 @@ def cmd_eval(args) -> int:
 def cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     corpus = read_jsonl(args.data, ckpt.model.cardinalities)
-    with _atomic_open(args.out) as fh:
+    with atomic_open(args.out) as fh:
         header = ",".join(f"e{i}" for i in range(ckpt.model.d_model))
         fh.write(f"user_id,{header}\n")
         for seq in corpus:
@@ -255,9 +240,10 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         say(f"[{stage}] loss {initial:.4f} -> {final:.4f}")
 
         stage = "finetune-sft"
-        pos = [s for s in train if s.label > 0][:N_FEWSHOT_POSITIVES]
-        neg = [s for s in train if s.label == 0][:MAX_SFT_NEGATIVES]
         head_cfg = cfg.head_config()
+        pool = _head_readable(train, model_cfg, head_cfg)
+        pos = [s for s in pool if s.label > 0][:N_FEWSHOT_POSITIVES]
+        neg = [s for s in pool if s.label == 0][:MAX_SFT_NEGATIVES]
         sft_params, metrics = sft_mod.finetune_sft(params, model_cfg, pos + neg,
                                                    head_cfg, cfg.sft_config())
         save_checkpoint(workdir / "sft.ckpt", sft_params, model_cfg,
@@ -266,11 +252,12 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
             f"final train accuracy {metrics[-1]['accuracy']:.3f}")
 
         stage = "score"
-        scores = sft_mod.score_users(sft_params, model_cfg, head_cfg, heldout)
+        scored = _head_readable(heldout, model_cfg, head_cfg)
+        scores = sft_mod.score_users(sft_params, model_cfg, head_cfg, scored)
         _write_scores(workdir / "scores.csv", scores)
 
         stage = "eval"
-        labels = {s.user_id: int(s.label > 0) for s in heldout}
+        labels = {s.user_id: int(s.label > 0) for s in scored}
         entries = [ev.RankEntry(uid, score, labels[uid]) for uid, score in scores]
         auc = ev.roc_auc(entries)
         top1 = ev.topk_rank_metrics(entries, [0.01])[0]

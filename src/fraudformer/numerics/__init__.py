@@ -5,7 +5,7 @@ from .ops import (
     add, sub, add_n, scale, add_const, mul, mul_const, matmul, matmul_t,
     bmm, bmm_t, split_heads, merge_heads, relu, layer_norm, dropout,
     softmax_rows, softmax_ce, conv1d, max_over_time, concat_cols,
-    slice_cols, take_rows, stack_rows, normalize_rows, row_diff, reshape,
+    slice_cols, take_rows, normalize_rows, row_diff, reshape,
     concat_rows, sum_all,
 )
 from .optim import Adam, AdamState, NonFiniteGradientError, adam_step
@@ -17,6 +17,6 @@ __all__ = [
     "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
     "relu", "layer_norm", "dropout", "softmax_rows",
     "softmax_ce", "conv1d", "max_over_time", "concat_cols", "slice_cols",
-    "take_rows", "stack_rows", "normalize_rows", "row_diff", "reshape", "concat_rows", "sum_all",
+    "take_rows", "normalize_rows", "row_diff", "reshape", "concat_rows", "sum_all",
     "Adam", "AdamState", "NonFiniteGradientError", "adam_step", "grad_check",
 ]

@@ -19,8 +19,8 @@ __all__ = [
     "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
     "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
-    "concat_cols", "slice_cols", "take_rows", "stack_rows",
-    "concat_rows", "normalize_rows", "row_diff", "reshape", "sum_all",
+    "concat_cols", "slice_cols", "take_rows", "concat_rows",
+    "normalize_rows", "row_diff", "reshape", "sum_all",
 ]
 
 
@@ -375,25 +375,30 @@ def softmax_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Valid (no-pad) convolution over the time axis.
+    """Valid (no-pad) convolution over the time axis, axis -2.
 
-    x: [T, C], kernels: [K, C, F] -> [T-K+1, F];
-    out[t, f] = sum_{k,c} x[t+k, c] * kernels[k, c, f].
+    x: [..., T, C], kernels: [K, C, F] -> [..., T-K+1, F];
+    out[..., t, f] = sum_{k,c} x[..., t+k, c] * kernels[k, c, f].
+    All taps are one GEMM, y = x @ W with W[c, k*F + f] = kernels[k, c, f],
+    and tap k's output is y shifted back by k rows.
     """
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise DimensionError(f"conv1d: need x[T,C] and kernels[K,C,F], got {x.data.shape}, {kernels.data.shape}")
-    t_len, c = x.data.shape
+    if x.data.ndim < 2 or kernels.data.ndim != 3:
+        raise DimensionError(f"conv1d: need x[..., T, C] and kernels[K, C, F], got {x.data.shape}, {kernels.data.shape}")
+    t_len, c = x.data.shape[-2:]
     k, kc, f = kernels.data.shape
     if kc != c:
         raise DimensionError(f"conv1d: channel mismatch {c} vs {kc}")
     if k > t_len:
         raise DimensionError(f"conv1d: sequence length {t_len} shorter than kernel size {k}")
-    # windows[t, c, k] = x[t+k, c]
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)
-    out_data = np.einsum("tck,kcf->tf", windows, kernels.data)
+    if bias is not None and bias.data.shape != (f,):
+        raise DimensionError(f"conv1d: bias must have shape ({f},)")
+    t_out = t_len - k + 1
+    w = kernels.data.transpose(1, 0, 2).reshape(c, k * f)
+    y = (x.data.reshape(-1, c) @ w).reshape(*x.data.shape[:-1], k, f)
+    out_data = y[..., 0:t_out, 0, :]
+    for j in range(1, k):
+        out_data = out_data + y[..., j:j + t_out, j, :]
     if bias is not None:
-        if bias.data.shape != (f,):
-            raise DimensionError(f"conv1d: bias must have shape ({f},)")
         out_data = out_data + bias.data
     out = Tensor(out_data)
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
@@ -402,33 +407,39 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         g = out.grad
         if g is None:
             return
+        # gy is the adjoint of the shifted tap sum: tap j of row t + j gets g[t].
+        gy = np.zeros_like(y)
+        for j in range(k):
+            gy[..., j:j + t_out, j, :] = g
+        gy = gy.reshape(-1, k * f)
         if kernels.requires_grad:
             kernels.ensure_grad()
-            kernels.grad += np.einsum("tck,tf->kcf", windows, g)
+            kernels.grad += (x.data.reshape(-1, c).T @ gy).reshape(c, k, f).transpose(1, 0, 2)
         if x.requires_grad:
             x.ensure_grad()
-            for j in range(k):
-                x.grad[j:j + g.shape[0]] += g @ kernels.data[j].T
+            x.grad += (gy @ w.T).reshape(x.data.shape)
         if bias is not None and bias.requires_grad:
             bias.ensure_grad()
-            bias.grad += g.sum(axis=0)
+            bias.grad += g.reshape(-1, f).sum(axis=0)
 
     return _maybe_record(out, inputs, backward)
 
 
 def max_over_time(x: Tensor) -> Tensor:
-    """Global max pool over axis 0: [T, F] -> [F]. Ties go to the earliest t."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"max_over_time expects 2-D input, got {x.data.shape}")
-    idx = np.argmax(x.data, axis=0)
-    out = Tensor(x.data[idx, np.arange(x.data.shape[1])])
+    """Global max pool over axis -2: [..., T, F] -> [..., F]. Ties go to the earliest t."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"max_over_time expects [..., T, F] input, got {x.data.shape}")
+    idx = np.expand_dims(np.argmax(x.data, axis=-2), -2)
+    out = Tensor(np.take_along_axis(x.data, idx, axis=-2)[..., 0, :])
 
     def backward():
         g = out.grad
         if g is None or not x.requires_grad:
             return
         x.ensure_grad()
-        np.add.at(x.grad, (idx, np.arange(x.data.shape[1])), g)
+        # One index per column, so the gather-add-scatter adds each gradient once.
+        np.put_along_axis(x.grad, idx, np.take_along_axis(x.grad, idx, axis=-2)
+                          + g[..., None, :], axis=-2)
 
     return _maybe_record(out, (x,), backward)
 
@@ -463,7 +474,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows by integer index (also the embedding lookup primitive)."""
+    """Gather rows by integer index (also the embedding lookup primitive).
+
+    ``idx`` may have any shape; the result is [*idx.shape, *x.shape[1:]].
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= x.data.shape[0]):
         raise IndexError(f"row index out of range [0, {x.data.shape[0]})")
@@ -475,23 +489,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(x.grad, idx, out.grad)
 
     return _maybe_record(out, (x,), backward)
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a [B, n] matrix."""
-    vectors = list(vectors)
-    out = Tensor(np.stack([v.data for v in vectors], axis=0))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        for i, v in enumerate(vectors):
-            if v.requires_grad:
-                v.ensure_grad()
-                v.grad += g[i]
-
-    return _maybe_record(out, vectors, backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -532,18 +529,18 @@ def normalize_rows(x: Tensor) -> Tensor:
 
 
 def row_diff(x: Tensor) -> Tensor:
-    """First-order difference over axis 0: out[t] = x[t+1] - x[t]."""
-    if x.data.shape[0] < 2:
-        raise DimensionError(f"row_diff needs at least 2 rows, got {x.data.shape[0]}")
-    out = Tensor(np.diff(x.data, axis=0))
+    """First-order difference over axis -2: out[..., t, :] = x[..., t+1, :] - x[..., t, :]."""
+    if x.data.ndim < 2 or x.data.shape[-2] < 2:
+        raise DimensionError(f"row_diff needs at least 2 rows, got shape {x.data.shape}")
+    out = Tensor(np.diff(x.data, axis=-2))
 
     def backward():
         g = out.grad
         if g is None or not x.requires_grad:
             return
         x.ensure_grad()
-        x.grad[1:] += g
-        x.grad[:-1] -= g
+        x.grad[..., 1:, :] += g
+        x.grad[..., :-1, :] -= g
 
     return _maybe_record(out, (x,), backward)
 

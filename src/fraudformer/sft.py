@@ -5,6 +5,15 @@ The backbone hidden sequence is first-order differenced to strip slow
 trend, then each kernel size extracts local anomaly evidence which a
 global max pool makes length-independent; a small MLP maps the pooled
 features to class logits.
+
+The head runs once per batch, on the padded [B, R, d] hidden block: one
+gather of the event rows, one ``row_diff``, and per kernel size k one
+``conv1d``, a relu and a max pool. Conv positions t >= length - k read
+padding, and a 0/1 mask zeroes them after the relu. That is exact: relu
+output is >= 0, every sequence has at least ``min_events`` events and so
+at least one valid position, and a max pool's ties go to the earliest t,
+which is valid. Each sequence's pooled features, and their gradients, are
+therefore those of the sequence run alone.
 """
 
 from __future__ import annotations
@@ -22,9 +31,8 @@ from .rng import child_rng
 
 __all__ = [
     "AnomalyHeadConfig", "SamplerConfig", "SftConfig",
-    "init_head_params", "anomaly_head", "head_features",
+    "init_head_params", "head_features", "batch_class_logits",
     "epoch_batches", "finetune_sft", "score_users",
-    "sequence_hidden_rows", "batch_class_logits",
 ]
 
 
@@ -90,17 +98,28 @@ def init_head_params(cfg: AnomalyHeadConfig, d_model: int,
     return p
 
 
-def head_features(hdiff: nm.Tensor, cfg: AnomalyHeadConfig,
+def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
                   params: Dict[str, nm.Tensor]) -> nm.Tensor:
-    """conv -> relu -> global max pool per kernel size, concatenated: [3F]."""
-    if hdiff.data.shape[0] < cfg.min_diff_len:
+    """Pooled conv features of a batch: [B, len(kernel_sizes) * F].
+
+    ``h`` is the [B, R, d] hidden block as ``causal_forward`` returns it,
+    [B*R, d] rows with BOS first in each sequence; sequence b has
+    ``lengths[b]`` events, then padding.
+    """
+    if int(lengths.min()) < cfg.min_events:
         raise SequenceTooShortError(
-            f"difference sequence of length {hdiff.data.shape[0]} is shorter than "
+            f"difference sequence of length {int(lengths.min()) - 1} is shorter than "
             f"the largest kernel ({cfg.min_diff_len}); need >= {cfg.min_events} events")
+    n_seq = len(lengths)
+    r = h.data.shape[0] // n_seq
+    # [B, R-1, d]: every sequence's event rows, BOS dropped.
+    events = nm.take_rows(h, np.arange(n_seq)[:, None] * r + np.arange(1, r))
+    hdiff = nm.row_diff(events)
     pooled = []
     for k in cfg.kernel_sizes:
-        conv = nm.conv1d(hdiff, params[f"head.conv{k}.w"], params[f"head.conv{k}.b"])
-        pooled.append(nm.max_over_time(nm.relu(conv)))
+        conv = nm.relu(nm.conv1d(hdiff, params[f"head.conv{k}.w"], params[f"head.conv{k}.b"]))
+        valid = np.arange(r - 1 - k)[None, :, None] < (lengths - k)[:, None, None]
+        pooled.append(nm.max_over_time(nm.mul_const(conv, valid.astype(conv.data.dtype))))
     return nm.concat_cols(pooled)
 
 
@@ -111,20 +130,6 @@ def _mlp(features: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tenso
     return nm.add(nm.matmul(x, params["head.mlp.w2"]), params["head.mlp.b2"])
 
 
-def anomaly_head(hdiff: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tensor],
-                 mode: str = "eval", rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Class logits for one difference sequence: [n_classes]."""
-    feats = nm.reshape(head_features(hdiff, cfg, params), (1, cfg.feature_width))
-    return nm.reshape(_mlp(feats, cfg, params, mode, rng), (cfg.n_classes,))
-
-
-def sequence_hidden_rows(h: nm.Tensor, batch, b: int) -> nm.Tensor:
-    """Hidden states of sequence b's real events inside a packed batch."""
-    base = b * batch.rows_per_seq
-    idx = base + 1 + np.arange(int(batch.lengths[b]))
-    return nm.take_rows(h, idx)
-
-
 def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.Tensor],
                        model_cfg: ModelConfig, head_cfg: AnomalyHeadConfig,
                        head: Dict[str, nm.Tensor], mode: str = "eval",
@@ -133,9 +138,7 @@ def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.T
     batch = encode_batch(id_arrays, backbone, model_cfg)
     h = causal_forward(batch.x, backbone, model_cfg, mode=mode,
                        rows_per_seq=batch.rows_per_seq, rng=rng)
-    feats = [head_features(nm.row_diff(sequence_hidden_rows(h, batch, b)), head_cfg, head)
-             for b in range(batch.batch)]
-    return _mlp(nm.stack_rows(feats), head_cfg, head, mode, rng)
+    return _mlp(head_features(h, batch.lengths, head_cfg, head), head_cfg, head, mode, rng)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,10 @@ CHECKS: Dict[str, Callable] = {
     "dropout": _check_dropout,
     "conv1d": _check_conv1d,
     "max_over_time": _check_max_pool,
+    # the anomaly head's batched forms: 2-3 sequences on a leading axis
+    "conv1d_batched": _weighted_check(nm.conv1d, (2, 7, 3), (3, 3, 4), (4,)),
+    "max_over_time_batched": _weighted_check(nm.max_over_time, (3, 6, 4)),
+    "row_diff_batched": _weighted_check(nm.row_diff, (2, 5, 3)),
     "reconstruction_loss": _check_reconstruction,
     "infonce_loss": _check_infonce,
     "sft_pipeline": _check_sft_pipeline,

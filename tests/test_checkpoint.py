@@ -1,10 +1,12 @@
 """Binary checkpoint format: round trips, corruption detection, tying."""
 
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from fraudformer import checkpoint
 from fraudformer.checkpoint import (MAGIC, VERSION, CheckpointError, CrcError,
                                     ShapeError, VersionError, load_checkpoint,
                                     save_checkpoint)
@@ -40,6 +42,34 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(a, params, cfg)
     save_checkpoint(b, params, cfg)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_save_leaves_old_checkpoint(tmp_path, monkeypatch):
+    path, params, cfg = make_ckpt(tmp_path, seed=0)
+    old = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes half of the first write and then runs out of space."""
+        def __init__(self, fh):
+            self.fh = fh
+        def __enter__(self):
+            return self
+        def __exit__(self, *exc):
+            self.fh.close()
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                        raising=False)
+    new_params = init_params(cfg, np.random.default_rng(1))
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, new_params, cfg)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    for k in params:
+        np.testing.assert_array_equal(load_checkpoint(path).params[k].data, params[k].data)
 
 
 def test_head_config_and_meta_survive(tmp_path):

@@ -281,3 +281,20 @@ def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, mo
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 1
     assert "embedding failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_smoke_skips_users_too_short_for_the_head(tmp_path, capsys):
+    from fraudformer.cli import N_EVAL_USERS, pipeline_smoke
+    from fraudformer.config import load_run_config
+    cfg = load_run_config({
+        "data": {"n_users": 2200, "fraud_fraction": 0.3, "t_min": 4, "t_max": 8},
+        "model": {"d_model": 32, "n_layers": 1, "n_heads": 2, "t_max": 16},
+        "pretrain": {"steps": 2, "batch_size": 8},
+        "sft": {"epochs": 1, "batch_size": 8, "filters": 4, "hidden": 8},
+    })
+    report, _ = pipeline_smoke(cfg, tmp_path, quiet=True)
+    skipped = [l for l in capsys.readouterr().err.splitlines() if l.startswith("skipped ")]
+    assert skipped and all("the anomaly head needs at least 6" in l for l in skipped)
+    scored = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+    assert 0 < len(scored) < N_EVAL_USERS
+    assert 0.0 <= report["auc"] <= 1.0

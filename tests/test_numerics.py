@@ -152,6 +152,45 @@ def test_max_over_time_forward():
     np.testing.assert_allclose(ops.max_over_time(x).data, [3.0, -1.0])
 
 
+def test_conv1d_batched_matches_tap_sum_oracle():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 9, 2))
+    k, b = rng.standard_normal((3, 2, 4)), rng.standard_normal(4)
+    got = ops.conv1d(t64(x), t64(k), t64(b)).data
+    assert got.shape == (3, 7, 4)
+    want = np.array([[sum(x[n, t + j] @ k[j] for j in range(3)) + b for t in range(7)]
+                     for n in range(3)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for n in range(3):  # each sequence alone, through the 2-D form
+        np.testing.assert_allclose(got[n], ops.conv1d(t64(x[n]), t64(k), t64(b)).data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_max_over_time_batched_forward_ties_to_earliest():
+    x = t64([[[1.0, 2.0], [3.0, 2.0], [3.0, 0.0]],
+             [[0.0, -1.0], [0.0, -2.0], [-1.0, -3.0]]])
+    with GradTape() as tape:
+        out = ops.max_over_time(x)
+        tape.backward(ops.sum_all(out))
+    np.testing.assert_array_equal(out.data, [[3.0, 2.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(x.grad, [[[0, 1], [1, 0], [0, 0]],
+                                           [[1, 1], [0, 0], [0, 0]]])
+
+
+def test_row_diff_batched_forward():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 5, 3))
+    np.testing.assert_array_equal(ops.row_diff(t64(x)).data, x[:, 1:] - x[:, :-1])
+    with pytest.raises(DimensionError, match="at least 2 rows"):
+        ops.row_diff(t64(np.ones((3, 1, 4))))
+
+
+def test_take_rows_index_matrix_gives_a_block():
+    x = t64(np.arange(12.0).reshape(6, 2))
+    out = ops.take_rows(x, np.array([[1, 2], [4, 5]])).data
+    np.testing.assert_array_equal(out, [[[2, 3], [4, 5]], [[8, 9], [10, 11]]])
+
+
 def test_softmax_rows_sums_to_one():
     rng = np.random.default_rng(3)
     p = ops.softmax_rows(rand64(rng, 5, 7)).data
@@ -194,7 +233,7 @@ def test_nested_tapes_rejected():
 @pytest.mark.parametrize("name", [
     "matmul", "matmul_t", "add", "mul", "layer_norm", "relu", "softmax_ce",
     "conv1d", "max_over_time", "concat_slice", "take_rows", "normalize_rows",
-    "row_diff", "softmax_rows", "dropout",
+    "row_diff", "softmax_rows", "dropout", "take_rows_2d",
 ])
 def test_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2 ** 31))
@@ -244,6 +283,11 @@ def test_gradients_match_finite_differences(name):
     elif name == "take_rows":
         x = rand64(rng, 6, 3)
         idx = np.array([0, 2, 2, 5])  # repeated row: gather gradient must accumulate
+        fn = lambda: ops.sum_all(ops.mul(ops.take_rows(x, idx), ops.take_rows(x, idx)))
+        wiggle = [x]
+    elif name == "take_rows_2d":
+        x = rand64(rng, 6, 3)
+        idx = np.array([[1, 2, 3], [3, 4, 5]])  # a [2, 3] block sharing row 3
         fn = lambda: ops.sum_all(ops.mul(ops.take_rows(x, idx), ops.take_rows(x, idx)))
         wiggle = [x]
     elif name == "normalize_rows":
@@ -333,3 +377,5 @@ def test_gradcheck_command_lists_the_batched_attention_ops(capsys):
     assert run_subcommand(["gradcheck"]) == 0
     listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
     assert {"bmm", "bmm_t", "split_heads", "merge_heads"} <= listed
+    # and the anomaly head's batched forms
+    assert {"conv1d_batched", "max_over_time_batched", "row_diff_batched"} <= listed

@@ -2,20 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
-from fraudformer.numerics.tensor import DimensionError, Tensor
+from fraudformer.numerics.tensor import DimensionError, GradTape, Tensor
 from fraudformer.sft import (AnomalyHeadConfig, SamplerConfig, SequenceTooShortError,
-                             SftConfig, anomaly_head, batch_class_logits,
+                             SftConfig, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
                              init_head_params, score_users)
-from fraudformer.model import init_params
+from fraudformer.model import causal_forward, encode_batch, init_params
 from tests.conftest import f64_params, tiny_model_config
 
 
 def head64(cfg, d_model, seed=0):
     return init_head_params(cfg, d_model, np.random.default_rng(seed), dtype=np.float64)
+
+
+def one_sequence_block(hdiff):
+    """A batch of one for ``head_features``: hidden rows [T+2, d], BOS first,
+    whose event rows have first differences ``hdiff``; and its length."""
+    rows = np.vstack([np.zeros((2, hdiff.shape[1])), np.cumsum(hdiff, axis=0)])
+    return Tensor(rows), np.array([len(hdiff) + 1])
 
 
 # --- differencing --------------------------------------------------------------
@@ -53,7 +62,7 @@ def test_head_zero_input_zero_biases_gives_zero_features():
     params = head64(cfg, d_model=6)
     for k in cfg.kernel_sizes:
         params[f"head.conv{k}.b"].data[:] = 0.0
-    feats = head_features(Tensor(np.zeros((5, 6), dtype=np.float64)), cfg, params)
+    feats = head_features(*one_sequence_block(np.zeros((5, 6))), cfg, params)
     np.testing.assert_array_equal(feats.data, 0.0)
 
 
@@ -65,7 +74,7 @@ def test_head_maxpool_translation_invariance():
     def planted(offset):
         x = np.zeros((12, 3))
         x[offset:offset + 3] = motif
-        return head_features(Tensor(x), cfg, params).data
+        return head_features(*one_sequence_block(x), cfg, params).data
     np.testing.assert_allclose(planted(2), planted(7), atol=1e-10)
 
 
@@ -73,7 +82,7 @@ def test_head_too_short_names_minimum():
     cfg = AnomalyHeadConfig()
     params = head64(cfg, d_model=4)
     with pytest.raises(SequenceTooShortError, match="5"):
-        head_features(Tensor(np.zeros((4, 4))), cfg, params)
+        head_features(*one_sequence_block(np.zeros((4, 4))), cfg, params)
 
 
 def test_head_gradient_check():
@@ -81,15 +90,52 @@ def test_head_gradient_check():
                             dropout=0.0)
     params = head64(cfg, d_model=4, seed=3)
     rng = np.random.default_rng(4)
-    hdiff = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+    # Two sequences of 7 and 5 events in 8-row segments: the second one's
+    # padded tail is masked, and its gradient must be zero.
+    h = Tensor(rng.standard_normal((16, 4)), requires_grad=True)
+    lengths = np.array([7, 5])
+    w = Tensor(rng.standard_normal((cfg.feature_width, 2)))
 
     def loss_fn():
-        logits = anomaly_head(hdiff, cfg, params, mode="eval")
-        return ops.softmax_ce(ops.reshape(logits, (1, 2)), np.array([1]))
+        logits = ops.matmul(head_features(h, lengths, cfg, params), w)
+        return ops.softmax_ce(logits, np.array([1, 0]))
 
-    wiggle = [hdiff] + [params[k] for k in sorted(params)]
+    wiggle = [h] + [params[k] for k in sorted(params)]
     err = grad_check(loss_fn, wiggle, np.random.default_rng(0), n_probes=8)
     assert err < 1e-4
+    h.grad = None
+    with GradTape() as tape:
+        tape.backward(loss_fn())
+    np.testing.assert_array_equal(h.grad[[0, 8]], 0.0)      # BOS rows
+    np.testing.assert_array_equal(h.grad[8 + 1 + 5:], 0.0)  # padding of sequence 2
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       lengths=st.lists(st.integers(6, 12), min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_batched_head_equals_each_sequence_alone(seed, lengths):
+    """float64: head features and logits of a mixed-length batch equal those
+    of each sequence run alone, from min_events (6) to t_max (12)."""
+    cfg = tiny_model_config(dropout=0.0)
+    head_cfg = AnomalyHeadConfig(filters=4, hidden=8)
+    assert head_cfg.min_events == 6 and cfg.t_max == 12
+    params = f64_params(cfg, seed=seed % 1000)
+    params.update(head64(head_cfg, cfg.d_model, seed=seed))
+    rng = np.random.default_rng(seed)
+    ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
+           for t in lengths]
+
+    batch = encode_batch(ids, params, cfg)
+    h = causal_forward(batch.x, params, cfg, rows_per_seq=batch.rows_per_seq)
+    feats = head_features(h, batch.lengths, head_cfg, params).data
+    logits = batch_class_logits(ids, params, cfg, head_cfg, params).data
+    r = batch.rows_per_seq
+    for b, t in enumerate(lengths):
+        rows = Tensor(h.data[b * r:b * r + t + 1])
+        alone = head_features(rows, np.array([t]), head_cfg, params).data[0]
+        np.testing.assert_allclose(feats[b], alone, rtol=0, atol=1e-12)
+        alone = batch_class_logits([ids[b]], params, cfg, head_cfg, params).data[0]
+        np.testing.assert_allclose(logits[b], alone, rtol=0, atol=1e-12)
 
 
 def test_head_config_rejects_tiny_kernels():
