@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -18,15 +18,17 @@ import numpy as np
 from . import contrastive as cl
 from . import evaluation as ev
 from . import sft as sft_mod
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .data import (BehaviorSequence, default_vocab, generate_corpus,
+from .data import (BehaviorSequence, generate_corpus, ids_array, iter_jsonl,
                    read_jsonl, read_vocab, write_jsonl, write_vocab)
-from .model import ModelConfig, init_params, pretrain_loop
-from .rng import child_rng
+from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
 __all__ = ["main", "run_subcommand", "pipeline_smoke"]
+
+# Users per embed forward, kept small because peak memory grows with it.
+EMBED_CHUNK = 16
 
 
 def _dtype(mode: str):
@@ -67,11 +69,17 @@ def _vocab_path(args) -> str:
     return args.vocab if args.vocab else str(args.out) + ".vocab.json"
 
 
+def _write_corpus(path, vocab_path, corpus: Sequence[BehaviorSequence], vocab) -> None:
+    with atomic_open(path) as fh:
+        write_jsonl(fh, corpus)
+    with atomic_open(vocab_path) as fh:
+        write_vocab(fh, vocab)
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     corpus = generate_corpus(cfg.generator_config())
-    write_jsonl(args.out, corpus)
-    write_vocab(_vocab_path(args), cfg.generator_config().vocab)
+    _write_corpus(args.out, _vocab_path(args), corpus, cfg.generator_config().vocab)
     print(f"wrote {len(corpus)} sequences to {args.out}")
     return 0
 
@@ -89,6 +97,15 @@ def cmd_pretrain(args) -> int:
     _write_curve(args.curve or str(args.out) + ".loss.csv", curve)
     print(f"pretrained {len(curve)} steps; loss {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
     return 0
+
+
+def _load_checkpoint(path, kind: str) -> Checkpoint:
+    """The checkpoint at ``path``, which must be of the given kind."""
+    ckpt = load_checkpoint(path)
+    if ckpt.kind != kind:
+        raise ValueError(f"{path} is a {ckpt.kind!r} checkpoint; this subcommand "
+                         f"accepts only a {kind!r} checkpoint")
+    return ckpt
 
 
 def _check_vocab(model_cfg: ModelConfig, vocab) -> None:
@@ -115,7 +132,7 @@ def _head_readable(corpus: Sequence[BehaviorSequence], model_cfg: ModelConfig,
 
 def cmd_finetune_sft(args) -> int:
     cfg = _load_cfg(args)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint, "pretrain")
     vocab = read_vocab(args.vocab)
     _check_vocab(ckpt.model, vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
@@ -136,7 +153,7 @@ def cmd_finetune_sft(args) -> int:
 
 def cmd_finetune_cl(args) -> int:
     cfg = _load_cfg(args)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint, "pretrain")
     vocab = read_vocab(args.vocab)
     _check_vocab(ckpt.model, vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
@@ -150,7 +167,7 @@ def cmd_finetune_cl(args) -> int:
 
 
 def cmd_score(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint, "sft")
     if ckpt.head is None:
         raise ValueError("scoring needs an sft checkpoint with a binary head")
     corpus = read_jsonl(args.data, ckpt.model.cardinalities)
@@ -178,15 +195,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = read_jsonl(args.data, ckpt.model.cardinalities)
+    """Embed each user's most recent ``t_max`` events, reading and writing
+    ``EMBED_CHUNK`` users at a time."""
+    ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
+    model = ckpt.model
+    users = iter_jsonl(args.data, model.cardinalities)
+    n_users = 0
     with atomic_open(args.out) as fh:
-        header = ",".join(f"e{i}" for i in range(ckpt.model.d_model))
+        header = ",".join(f"e{i}" for i in range(model.d_model))
         fh.write(f"user_id,{header}\n")
-        for seq in corpus:
-            vec = cl.embed_sequence(ckpt.params, ckpt.model, seq, mode="eval").data
-            fh.write(seq.user_id + "," + ",".join(f"{x:.8g}" for x in vec) + "\n")
-    print(f"embedded {len(corpus)} sequences -> {args.out}")
+        while chunk := list(itertools.islice(users, EMBED_CHUNK)):
+            ids = [ids_array(seq)[-model.t_max:] for seq in chunk]
+            vecs = cl.embed_batch(ids, ckpt.params, model, mode="eval").data
+            for seq, vec in zip(chunk, vecs):
+                fh.write(seq.user_id + "," + ",".join(f"{x:.8g}" for x in vec) + "\n")
+            n_users += len(chunk)
+    print(f"embedded {n_users} sequences -> {args.out}")
     return 0
 
 
@@ -225,8 +249,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
     try:
         gen_cfg = cfg.generator_config()
         corpus = generate_corpus(gen_cfg)
-        write_jsonl(workdir / "corpus.jsonl", corpus)
-        write_vocab(workdir / "vocab.json", gen_cfg.vocab)
+        _write_corpus(workdir / "corpus.jsonl", workdir / "vocab.json", corpus, gen_cfg.vocab)
         train, heldout = corpus[:-N_EVAL_USERS], corpus[-N_EVAL_USERS:]
         say(f"[{stage}] {len(train)} train / {len(heldout)} held-out users")
 

@@ -28,7 +28,7 @@ def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                 cfg: ModelConfig, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Sequence embeddings: hidden state at each last non-pad position: [N, d_model]."""
-    batch = encode_batch(id_arrays, params, cfg)
+    batch = encode_batch(id_arrays, params, cfg, mode=mode)
     h = causal_forward(batch.x, params, cfg, mode=mode,
                        rows_per_seq=batch.rows_per_seq, rng=rng)
     last = np.array([batch.last_row(b) for b in range(batch.batch)])
@@ -39,7 +39,8 @@ def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
                    seq: BehaviorSequence, mode: str = "eval",
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Embedding of one sequence's most recent ``t_max`` events; train mode
-    keeps dropout active so views differ."""
+    keeps dropout active so views differ. In eval mode it is the same bits as
+    the sequence's row of any ``embed_batch`` call."""
     ids = ids_array(seq)[-cfg.t_max:]
     return nm.reshape(embed_batch([ids], params, cfg, mode=mode, rng=rng),
                       (cfg.d_model,))

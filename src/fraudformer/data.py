@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ __all__ = [
     "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
     "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
-    "read_jsonl", "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
+    "iter_jsonl", "read_jsonl", "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
 ]
 
 PAD_ID = 0
@@ -317,26 +317,26 @@ def generate_corpus(cfg: GeneratorConfig) -> List[BehaviorSequence]:
 
 # --- JSONL corpus I/O ------------------------------------------------------
 
-def write_jsonl(path, corpus: Iterable[BehaviorSequence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in corpus:
-            rec = {
-                "user_id": seq.user_id,
-                "attrs": seq.ids.tolist(),
-                "label": seq.label,
-                "anomaly_onset": seq.anomaly_onset,
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+def write_jsonl(fh: TextIO, corpus: Iterable[BehaviorSequence]) -> None:
+    """Write one JSON record per user to the open text file ``fh``."""
+    for seq in corpus:
+        rec = {
+            "user_id": seq.user_id,
+            "attrs": seq.ids.tolist(),
+            "label": seq.label,
+            "anomaly_onset": seq.anomaly_onset,
+        }
+        fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:
-    """Parse a corpus file; malformed lines fail with their line number.
+def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[BehaviorSequence]:
+    """Parse a corpus file one user at a time; a malformed line fails with its
+    line number when the reader reaches it.
 
     With ``cardinalities`` every event must have one token per dimension,
     each in [0, V_d).
     """
     cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.int64)
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -370,18 +370,22 @@ def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[Beha
                                       f"outside [0, {cards[d]})")
             onset = rec["anomaly_onset"]
             try:
-                out.append(BehaviorSequence(str(rec["user_id"]), ids,
-                                            int(rec["label"]),
-                                            None if onset is None else int(onset)))
+                seq = BehaviorSequence(str(rec["user_id"]), ids, int(rec["label"]),
+                                       None if onset is None else int(onset))
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from exc
-    return out
+            yield seq
 
 
-def write_vocab(path, vocab: VocabSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_json(), fh, separators=(",", ":"))
-        fh.write("\n")
+def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:
+    """The whole corpus file as a list; see ``iter_jsonl``."""
+    return list(iter_jsonl(path, cardinalities))
+
+
+def write_vocab(fh: TextIO, vocab: VocabSpec) -> None:
+    """Write the vocab sidecar to the open text file ``fh``."""
+    json.dump(vocab.to_json(), fh, separators=(",", ":"))
+    fh.write("\n")
 
 
 def read_vocab(path) -> VocabSpec:

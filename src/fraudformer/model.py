@@ -193,16 +193,23 @@ def pad_batch(id_arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
-                 cfg: ModelConfig) -> EncodedBatch:
+                 cfg: ModelConfig, mode: str = "train") -> EncodedBatch:
     """Embed [T_i, D] id arrays: each sequence gets a BOS row at position 0 and
-    its events, their per-dimension embeddings concatenated, at positions 1..T_i."""
+    its events, their per-dimension embeddings concatenated, at positions 1..T_i.
+
+    Train mode pads to the longest sequence. Eval mode pads every sequence to
+    ``t_max``, so that a row's float sums, and so its outputs bit for bit, do
+    not depend on its batch neighbours.
+    """
     if any(a.ndim != 2 or a.shape[1] != cfg.D for a in id_arrays):
         raise nm.DimensionError(f"ids must be [T, {cfg.D}], got "
                                 f"{[a.shape for a in id_arrays]}")
     padded, lengths = pad_batch(id_arrays)
+    if padded.shape[1] > cfg.t_max:
+        raise nm.DimensionError(f"sequence length {padded.shape[1]} exceeds t_max={cfg.t_max}")
+    if mode == "eval":
+        padded = np.pad(padded, ((0, 0), (0, cfg.t_max - padded.shape[1]), (0, 0)))
     batch, seg, _ = padded.shape
-    if seg > cfg.t_max:
-        raise nm.DimensionError(f"sequence length {seg} exceeds t_max={cfg.t_max}")
     flat = padded.reshape(batch * seg, cfg.D)
     ev = nm.concat_cols([nm.take_rows(params[f"embed.{d}"], flat[:, d]) for d in range(cfg.D)])
     table = nm.concat_rows([nm.reshape(params["bos"], (1, cfg.d_model)), ev])

@@ -135,7 +135,7 @@ def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.T
                        head: Dict[str, nm.Tensor], mode: str = "eval",
                        rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes]."""
-    batch = encode_batch(id_arrays, backbone, model_cfg)
+    batch = encode_batch(id_arrays, backbone, model_cfg, mode=mode)
     h = causal_forward(batch.x, backbone, model_cfg, mode=mode,
                        rows_per_seq=batch.rows_per_seq, rng=rng)
     return _mlp(head_features(h, batch.lengths, head_cfg, head), head_cfg, head, mode, rng)
@@ -249,9 +249,9 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                 batch_size: int = 64) -> List[Tuple[str, float]]:
     """Anomaly probability per user, sorted descending (ties by user_id).
 
-    Each user is scored on their most recent ``t_max`` events, so a score
-    depends only on the checkpoint and that user's events, not on corpus
-    order; the padding a batch adds can move only its last float bits.
+    Each user is scored on their most recent ``t_max`` events, padded to
+    ``t_max``, so a score depends only on the checkpoint and that user's
+    events, bit for bit: not on corpus order, batch size or batch neighbours.
     """
     if head_cfg.n_classes != 2:
         raise ValueError("scoring requires the binary head")

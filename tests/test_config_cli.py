@@ -264,23 +264,78 @@ def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == [out]
 
 
-def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, monkeypatch):
+def count_embed_batches(monkeypatch, fail_on=None):
+    """Wrap ``embed_batch`` to count its calls; raise on call number ``fail_on``."""
     from fraudformer import contrastive
-    real = contrastive.embed_sequence
+    real = contrastive.embed_batch
     calls = []
 
-    def fail_on_third(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == fail_on:
             raise RuntimeError("embedding failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(contrastive, "embed_sequence", fail_on_third)
+    monkeypatch.setattr(contrastive, "embed_batch", counted)
+    return calls
+
+
+def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, monkeypatch):
+    count_embed_batches(monkeypatch, fail_on=2)
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 1
     assert "embedding failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_embed_runs_one_forward_per_chunk(scoring_run, tmp_path, capsys, monkeypatch):
+    from fraudformer.cli import EMBED_CHUNK
+    calls = count_embed_batches(monkeypatch)
+    out = tmp_path / "e.csv"
+    assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
+    n_users = len(scoring_run["records"])
+    assert n_users == 40 and EMBED_CHUNK == 16
+    assert calls == [16, 16, 8]  # ceil(40 / 16) = 3 forwards
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [r["user_id"] for r in scoring_run["records"]]
+
+
+def test_cli_gen_data_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    from fraudformer import cli
+    real = cli.generate_corpus
+    # Two users are written, then the third record fails to serialise.
+    monkeypatch.setattr(cli, "generate_corpus", lambda cfg: real(cfg)[:2] + [None])
+    cfgp = write_cfg(tmp_path)
+    out = tmp_path / "d.jsonl"
+    assert run_subcommand(["gen-data", "--config", cfgp, "--out", str(out)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command,ckpt,accepted", [
+    ("finetune-sft", "sft", "pretrain"),
+    ("finetune-cl", "sft", "pretrain"),
+    ("score", "pre", "sft"),
+], ids=["finetune-sft", "finetune-cl", "score"])
+def test_cli_rejects_wrong_checkpoint_kind(scoring_run, tmp_path, capsys,
+                                           command, ckpt, accepted):
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(scoring_run[ckpt]),
+            "--data", str(scoring_run["data"]), "--out", str(out)]
+    if command != "score":
+        argv += ["--config", scoring_run["cfg"], "--vocab", str(scoring_run["vocab"])]
+    assert run_subcommand(argv) == 1
+    assert f"accepts only a '{accepted}' checkpoint" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_embed_accepts_any_checkpoint_kind(scoring_run, tmp_path, capsys):
+    # pretrain and contrastive checkpoints are embedded by the tests above.
+    out = tmp_path / "e.csv"
+    assert run_subcommand(["embed", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + len(scoring_run["records"])
 
 
 def test_smoke_skips_users_too_short_for_the_head(tmp_path, capsys):

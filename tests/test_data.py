@@ -11,7 +11,7 @@ from scipy import stats
 from fraudformer.data import (PAD_ID, BehaviorSequence, GeneratorConfig,
                               SchemaError, VocabSpec, bucketize_amount,
                               default_vocab, generate_corpus, ids_array,
-                              read_jsonl, read_vocab, window_sample,
+                              iter_jsonl, read_jsonl, read_vocab, window_sample,
                               write_jsonl, write_vocab)
 from tests.conftest import TINY_VOCAB, assert_same_corpus, make_sequence
 
@@ -187,7 +187,8 @@ def test_generator_label_onset_consistency():
 
 def test_jsonl_empty_round_trip(tmp_path):
     p = tmp_path / "empty.jsonl"
-    write_jsonl(p, [])
+    with open(p, "w", encoding="utf-8") as fh:
+        write_jsonl(fh, [])
     assert read_jsonl(p) == []
 
 
@@ -205,7 +206,8 @@ def test_jsonl_round_trip_property(seed):
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
-        write_jsonl(path, corpus)
+        with open(path, "w", encoding="utf-8") as fh:
+            write_jsonl(fh, corpus)
         assert_same_corpus(read_jsonl(path, TINY_VOCAB.cardinalities), corpus)
     finally:
         os.unlink(path)
@@ -226,6 +228,11 @@ def test_jsonl_rejects_out_of_vocab_id(tmp_path):
     p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(SchemaError, match="line 2"):
         read_jsonl(p, TINY_VOCAB.cardinalities)
+    # The stream yields the good user before it reaches the bad line.
+    users = iter_jsonl(p, TINY_VOCAB.cardinalities)
+    assert next(users).user_id == "u0"
+    with pytest.raises(SchemaError, match="line 2"):
+        next(users)
 
 
 def test_jsonl_rejects_malformed_json(tmp_path):
@@ -237,5 +244,6 @@ def test_jsonl_rejects_malformed_json(tmp_path):
 
 def test_vocab_sidecar_round_trip(tmp_path):
     p = tmp_path / "vocab.json"
-    write_vocab(p, default_vocab())
+    with open(p, "w", encoding="utf-8") as fh:
+        write_vocab(fh, default_vocab())
     assert read_vocab(p) == default_vocab()

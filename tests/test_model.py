@@ -104,6 +104,18 @@ def test_embed_concat_errors():
                         params, cfg).x.shape == (cfg.t_max + 1, cfg.d_model)
 
 
+def test_encode_batch_eval_pads_to_t_max():
+    cfg = tiny_model_config()
+    params = f64_params(cfg)
+    ids = [np.ones((3, 2), dtype=np.int64), np.ones((5, 2), dtype=np.int64)]
+    train = encode_batch(ids, params, cfg)
+    ev = encode_batch(ids, params, cfg, mode="eval")
+    assert (train.seg_len, ev.seg_len) == (5, cfg.t_max)
+    assert list(ev.lengths) == [3, 5] and ev.last_row(1) == cfg.t_max + 1 + 5
+    with pytest.raises(DimensionError):
+        encode_batch([np.ones((cfg.t_max + 1, 2), dtype=np.int64)], params, cfg, mode="eval")
+
+
 # --- causality ----------------------------------------------------------------
 
 def test_causal_forward_is_strictly_causal():

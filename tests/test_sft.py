@@ -12,6 +12,7 @@ from fraudformer.sft import (AnomalyHeadConfig, SamplerConfig, SequenceTooShortE
                              SftConfig, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
                              init_head_params, score_users)
+from fraudformer.data import ids_array
 from fraudformer.model import causal_forward, encode_batch, init_params
 from tests.conftest import f64_params, tiny_model_config
 
@@ -320,6 +321,35 @@ def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus):
     many = dict(score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=64))
     assert one.keys() == many.keys()
     assert max(abs(one[u] - many[u]) for u in one) < 1e-6
+
+
+def test_eval_rows_ignore_batch_neighbours(scoring_model, mixed_length_corpus):
+    """A short user's score and embedding are the same bits alone, in a
+    shuffled batch of short users, and next to users of t_max events."""
+    from fraudformer.contrastive import embed_batch, embed_sequence
+    params, mc, head_cfg = scoring_model
+    short = [s for s in mixed_length_corpus if len(s) < mc.t_max]
+    long = [s for s in mixed_length_corpus if len(s) >= mc.t_max]
+    assert len(short) >= 8 and len(long) >= 8
+    shuffled = [short[i] for i in np.random.default_rng(0).permutation(len(short))]
+    mixed = sorted(short + long, key=lambda s: s.user_id)  # one batch, interleaved
+
+    alone = {}
+    for s in short:
+        alone.update(score_users(params, mc, head_cfg, [s]))
+    for batch in (shuffled, mixed):
+        scores = dict(score_users(params, mc, head_cfg, batch))
+        assert all(scores[s.user_id] == alone[s.user_id] for s in short)
+
+    def embeddings(batch):
+        rows = embed_batch([ids_array(s)[-mc.t_max:] for s in batch], params, mc).data
+        return {s.user_id: row for s, row in zip(batch, rows)}
+
+    alone = {s.user_id: embed_sequence(params, mc, s).data for s in short}
+    for batch in (shuffled, mixed):
+        rows = embeddings(batch)
+        for s in short:
+            np.testing.assert_array_equal(rows[s.user_id], alone[s.user_id])
 
 
 def test_multiclass_head_trains(small_planted_corpus):
