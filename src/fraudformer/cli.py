@@ -11,7 +11,7 @@ import itertools
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,11 +114,10 @@ def _check_vocab(model_cfg: ModelConfig, vocab) -> None:
                          f"{model_cfg.cardinalities} vs {vocab.cardinalities}")
 
 
-def _head_readable(corpus: Sequence[BehaviorSequence], model_cfg: ModelConfig,
-                   head_cfg: sft_mod.AnomalyHeadConfig) -> List[BehaviorSequence]:
-    """The users the anomaly head can read; each one too short for it is
-    named on stderr and left out."""
-    kept = []
+def _head_readable(corpus: Iterable[BehaviorSequence], model_cfg: ModelConfig,
+                   head_cfg: sft_mod.AnomalyHeadConfig) -> Iterator[BehaviorSequence]:
+    """The users the anomaly head can read, lazily; each one too short for it
+    is named on stderr and left out."""
     for seq in corpus:
         # Training windows and scoring both read at most t_max events.
         n_events = min(len(seq), model_cfg.t_max)
@@ -126,8 +125,7 @@ def _head_readable(corpus: Sequence[BehaviorSequence], model_cfg: ModelConfig,
             print(f"skipped {seq.user_id}: {n_events} events, the anomaly head "
                   f"needs at least {head_cfg.min_events}", file=sys.stderr)
         else:
-            kept.append(seq)
-    return kept
+            yield seq
 
 
 def cmd_finetune_sft(args) -> int:
@@ -137,7 +135,7 @@ def cmd_finetune_sft(args) -> int:
     _check_vocab(ckpt.model, vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
     head_cfg = cfg.head_config()
-    corpus = _head_readable(corpus, ckpt.model, head_cfg)
+    corpus = list(_head_readable(corpus, ckpt.model, head_cfg))
     params, metrics = sft_mod.finetune_sft(ckpt.params, ckpt.model, corpus,
                                            head_cfg, cfg.sft_config())
     save_checkpoint(args.out, params, ckpt.model, head=head_cfg, kind="sft",
@@ -170,9 +168,9 @@ def cmd_score(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint, "sft")
     if ckpt.head is None:
         raise ValueError("scoring needs an sft checkpoint with a binary head")
-    corpus = read_jsonl(args.data, ckpt.model.cardinalities)
-    scorable = _head_readable(corpus, ckpt.model, ckpt.head)
-    scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head, scorable)
+    users = iter_jsonl(args.data, ckpt.model.cardinalities)
+    scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head,
+                                 _head_readable(users, ckpt.model, ckpt.head))
     _write_scores(args.out, scores)
     print(f"scored {len(scores)} users -> {args.out}")
     return 0
@@ -208,7 +206,9 @@ def cmd_embed(args) -> int:
             ids = [ids_array(seq)[-model.t_max:] for seq in chunk]
             vecs = cl.embed_batch(ids, ckpt.params, model, mode="eval").data
             for seq, vec in zip(chunk, vecs):
-                fh.write(seq.user_id + "," + ",".join(f"{x:.8g}" for x in vec) + "\n")
+                # 9 significant digits round-trip a float32 exactly; Python
+                # floats format faster than numpy scalars, to the same text.
+                fh.write(seq.user_id + "," + ",".join(f"{x:.9g}" for x in vec.tolist()) + "\n")
             n_users += len(chunk)
     print(f"embedded {n_users} sequences -> {args.out}")
     return 0
@@ -264,7 +264,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
 
         stage = "finetune-sft"
         head_cfg = cfg.head_config()
-        pool = _head_readable(train, model_cfg, head_cfg)
+        pool = list(_head_readable(train, model_cfg, head_cfg))
         pos = [s for s in pool if s.label > 0][:N_FEWSHOT_POSITIVES]
         neg = [s for s in pool if s.label == 0][:MAX_SFT_NEGATIVES]
         sft_params, metrics = sft_mod.finetune_sft(params, model_cfg, pos + neg,
@@ -275,7 +275,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
             f"final train accuracy {metrics[-1]['accuracy']:.3f}")
 
         stage = "score"
-        scored = _head_readable(heldout, model_cfg, head_cfg)
+        scored = list(_head_readable(heldout, model_cfg, head_cfg))
         scores = sft_mod.score_users(sft_params, model_cfg, head_cfg, scored)
         _write_scores(workdir / "scores.csv", scores)
 

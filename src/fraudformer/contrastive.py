@@ -7,7 +7,6 @@ objective over temperature-scaled cosine similarities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import numerics as nm
 from .data import BehaviorSequence, ids_array, window_sample
 from .model import ModelConfig, causal_forward, encode_batch
-from .rng import child_rng
+from .rng import child_rng, shuffled_batches
 
 __all__ = [
     "ContrastiveConfig", "embed_sequence", "embed_batch", "cosine_matrix",
@@ -103,28 +102,18 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     if len(corpus) < cfg.batch_size:
         raise ValueError(f"corpus of {len(corpus)} smaller than batch size {cfg.batch_size}")
     opt = nm.Adam(backbone, lr=cfg.lr)
-    order: List[int] = []
-    epoch = 0
+    batches = shuffled_batches(len(corpus), cfg.batch_size, cfg.steps, cfg.seed, "cl-order")
     curve: List[Tuple[int, float]] = []
-    for step in range(cfg.steps):
-        while len(order) < cfg.batch_size:
-            perm = child_rng(cfg.seed, "cl-order", epoch).permutation(len(corpus))
-            order.extend(int(i) for i in perm)
-            epoch += 1
-        picks, order = order[:cfg.batch_size], order[cfg.batch_size:]
+    for step, picks in enumerate(batches):
         wrng = child_rng(cfg.seed, "cl-window", step)
         ids = [ids_array(window_sample(corpus[i], model_cfg.t_max, wrng)) for i in picks]
         rng_a = child_rng(cfg.seed, "cl-view-a", step)
         rng_b = child_rng(cfg.seed, "cl-view-b", step)
-        with nm.GradTape() as tape:
+
+        def loss_fn() -> nm.Tensor:
             v = embed_batch(ids, backbone, model_cfg, mode="train", rng=rng_a)
             v_plus = embed_batch(ids, backbone, model_cfg, mode="train", rng=rng_b)
-            loss = infonce_loss(v, v_plus, cfg.tau)
-            val = float(loss.data)
-            if not math.isfinite(val):
-                raise RuntimeError(f"non-finite contrastive loss at step {step}")
-            opt.zero_grad()
-            tape.backward(loss)
-        opt.step()
-        curve.append((step, val))
+            return infonce_loss(v, v_plus, cfg.tau)
+
+        curve.append((step, opt.minimize(loss_fn)))
     return backbone, curve

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import BehaviorSequence, VocabSpec, ids_array, window_sample
-from .rng import child_rng
+from .rng import child_rng, shuffled_batches
 
 __all__ = [
     "ModelConfig", "PretrainConfig", "allocate_widths", "init_params",
@@ -246,9 +246,9 @@ def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
         q, k, v = (nm.split_heads(nm.add(nm.matmul(h, params[f"{pre}.attn.w{c}"]),
                                          params[f"{pre}.attn.b{c}"]), n_seq, heads)
                    for c in "qkv")
-        scores = nm.scale(nm.bmm_t(q, k), inv_sqrt)
+        scores = nm.scale(nm.matmul_t(q, k), inv_sqrt)
         probs = nm.softmax_rows(nm.add_const(scores, mask))
-        att = nm.add(nm.matmul(nm.merge_heads(nm.bmm(probs, v)), params[f"{pre}.attn.wo"]),
+        att = nm.add(nm.matmul(nm.merge_heads(nm.matmul(probs, v)), params[f"{pre}.attn.wo"]),
                      params[f"{pre}.attn.bo"])
         att = nm.dropout(att, cfg.dropout, rng, train)
         x = nm.add(x, att)
@@ -316,34 +316,21 @@ class PretrainConfig:
 
 def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,
                   train_cfg: PretrainConfig,
-                  params: Optional[Dict[str, nm.Tensor]] = None,
                   dtype=np.float32) -> Tuple[Dict[str, nm.Tensor], List[Tuple[int, float]]]:
-    """Next-event pretraining; returns params and the (step, loss) curve."""
+    """Next-event pretraining from fresh parameters; returns them and the
+    (step, loss) curve."""
     if not corpus:
         raise ValueError("pretraining corpus is empty")
-    if params is None:
-        params = init_params(cfg, child_rng(train_cfg.seed, "init"), dtype=dtype)
+    params = init_params(cfg, child_rng(train_cfg.seed, "init"), dtype=dtype)
     opt = nm.Adam(params, lr=train_cfg.lr)
-    order: List[int] = []
-    epoch = 0
+    batches = shuffled_batches(len(corpus), train_cfg.batch_size, train_cfg.steps,
+                               train_cfg.seed, "pretrain-order")
     curve: List[Tuple[int, float]] = []
-    for step in range(train_cfg.steps):
-        while len(order) < train_cfg.batch_size:
-            perm = child_rng(train_cfg.seed, "pretrain-order", epoch).permutation(len(corpus))
-            order.extend(int(i) for i in perm)
-            epoch += 1
-        picks, order = order[:train_cfg.batch_size], order[train_cfg.batch_size:]
+    for step, picks in enumerate(batches):
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
         ids = [ids_array(window_sample(corpus[i], train_cfg.window, wrng)) for i in picks]
         drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
-        with nm.GradTape() as tape:
-            batch = encode_batch(ids, params, cfg)
-            loss = batch_reconstruction_loss(batch, params, cfg, ids, mode="train", rng=drng)
-            val = float(loss.data)
-            if not math.isfinite(val):
-                raise RuntimeError(f"non-finite pretraining loss at step {step}")
-            opt.zero_grad()
-            tape.backward(loss)
-        opt.step()
-        curve.append((step, val))
+        loss = opt.minimize(lambda: batch_reconstruction_loss(
+            encode_batch(ids, params, cfg), params, cfg, ids, mode="train", rng=drng))
+        curve.append((step, loss))
     return params, curve

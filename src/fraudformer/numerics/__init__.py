@@ -2,8 +2,8 @@
 
 from .tensor import DimensionError, GradTape, Tensor, active_tape
 from .ops import (
-    add, sub, add_n, scale, add_const, mul, mul_const, matmul, matmul_t,
-    bmm, bmm_t, split_heads, merge_heads, relu, layer_norm, dropout,
+    add, add_n, scale, add_const, mul, mul_const, matmul, matmul_t,
+    split_heads, merge_heads, relu, layer_norm, dropout,
     softmax_rows, softmax_ce, conv1d, max_over_time, concat_cols,
     slice_cols, take_rows, normalize_rows, row_diff, reshape,
     concat_rows, sum_all,
@@ -13,8 +13,8 @@ from .gradcheck import grad_check
 
 __all__ = [
     "DimensionError", "GradTape", "Tensor", "active_tape",
-    "add", "sub", "add_n", "scale", "add_const", "mul", "mul_const",
-    "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
+    "add", "add_n", "scale", "add_const", "mul", "mul_const",
+    "matmul", "matmul_t", "split_heads", "merge_heads",
     "relu", "layer_norm", "dropout", "softmax_rows",
     "softmax_ce", "conv1d", "max_over_time", "concat_cols", "slice_cols",
     "take_rows", "normalize_rows", "row_diff", "reshape", "concat_rows", "sum_all",

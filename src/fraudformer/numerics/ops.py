@@ -15,8 +15,8 @@ import numpy as np
 from .tensor import DimensionError, GradTape, Tensor, active_tape
 
 __all__ = [
-    "add", "sub", "add_n", "scale", "add_const", "mul", "mul_const",
-    "matmul", "matmul_t", "bmm", "bmm_t", "split_heads", "merge_heads",
+    "add", "add_n", "scale", "add_const", "mul", "mul_const",
+    "matmul", "matmul_t", "split_heads", "merge_heads",
     "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
     "concat_cols", "slice_cols", "take_rows", "concat_rows",
@@ -49,25 +49,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.ensure_grad()
             b.grad += g.reshape(-1, g.shape[-1]).sum(axis=0) if bias else g
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data - b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.ensure_grad()
-            a.grad += g
-        if b.requires_grad:
-            b.ensure_grad()
-            b.grad -= g
 
     return _maybe_record(out, (a, b), backward)
 
@@ -143,54 +124,11 @@ def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product a[m,k] @ b[k,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product a[..., m, k] @ b[..., k, n] over equal leading axes, if
+    any; there is no broadcasting."""
+    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[-2]):
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.ensure_grad()
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.ensure_grad()
-            b.grad += a.data.T @ g
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a[m,k] @ b[n,k]^T; used for attention scores and tied decoding."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise DimensionError(f"matmul_t: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data.T)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.ensure_grad()
-            a.grad += g @ b.data
-        if b.requires_grad:
-            b.ensure_grad()
-            b.grad += g.T @ a.data
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def _check_batched(name: str, a: Tensor, b: Tensor, inner_b: int) -> None:
-    if (a.data.ndim < 3 or a.data.shape[:-2] != b.data.shape[:-2]
-            or a.data.shape[-1] != b.data.shape[inner_b]):
-        raise DimensionError(f"{name}: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched product a[..., m, k] @ b[..., k, n] over equal leading axes."""
-    _check_batched("bmm", a, b, -2)
     out = Tensor(a.data @ b.data)
 
     def backward():
@@ -207,9 +145,12 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
-def bmm_t(a: Tensor, b: Tensor) -> Tensor:
-    """Batched a[..., m, k] @ b[..., n, k]^T over equal leading axes; attention scores."""
-    _check_batched("bmm_t", a, b, -1)
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a[..., m, k] @ b[..., n, k]^T over equal leading axes, if any; used for
+    attention scores and tied decoding."""
+    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[-1]):
+        raise DimensionError(f"matmul_t: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data @ b.data.swapaxes(-1, -2))
 
     def backward():

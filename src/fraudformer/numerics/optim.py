@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import GradTape, Tensor
 
 __all__ = ["AdamState", "adam_step", "Adam", "NonFiniteGradientError"]
 
@@ -81,3 +82,17 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    def minimize(self, loss_fn: Callable[[], Tensor]) -> float:
+        """One training step: build ``loss_fn()`` on a fresh tape, then zero the
+        gradients, backpropagate and step. Returns the loss value; a non-finite
+        loss raises before any parameter changes."""
+        with GradTape() as tape:
+            loss = loss_fn()
+        value = float(loss.data)
+        if not math.isfinite(value):
+            raise RuntimeError(f"non-finite loss at step {self.t}")
+        self.zero_grad()
+        tape.backward(loss)
+        self.step()
+        return value

@@ -9,7 +9,7 @@ thread; tensors with no tape attachment are plain immutable values.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,7 +99,3 @@ class GradTape:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-def _as_tensors(xs: Sequence) -> list[Tensor]:
-    return [x if isinstance(x, Tensor) else Tensor(x) for x in xs]

@@ -18,9 +18,10 @@ therefore those of the sequence run alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,10 +198,8 @@ def _class_label(seq: BehaviorSequence, n_classes: int) -> int:
 
 def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                  corpus: Sequence[BehaviorSequence], head_cfg: AnomalyHeadConfig,
-                 cfg: SftConfig,
-                 head: Optional[Dict[str, nm.Tensor]] = None,
-                 dtype=np.float32) -> Tuple[Dict[str, nm.Tensor], List[dict]]:
-    """Fine-tune backbone (at a reduced rate) plus anomaly head.
+                 cfg: SftConfig) -> Tuple[Dict[str, nm.Tensor], List[dict]]:
+    """Fine-tune backbone (at a reduced rate) plus a fresh anomaly head.
 
     Returns the merged parameter dict and per-epoch metrics
     (mean loss, training accuracy).
@@ -209,55 +208,48 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     neg = [s for s in corpus if s.label == 0]
     for s in corpus:
         _class_label(s, head_cfg.n_classes)
-    if head is None:
-        head = init_head_params(head_cfg, model_cfg.d_model,
-                                child_rng(cfg.seed, "head-init"), dtype=dtype)
     params = dict(backbone)
-    params.update(head)
+    params.update(init_head_params(head_cfg, model_cfg.d_model, child_rng(cfg.seed, "head-init")))
     mult = {name: cfg.backbone_lr_mult for name in backbone}
     opt = nm.Adam(params, lr=cfg.lr, lr_mult=mult)
     metrics: List[dict] = []
-    step = 0
     for epoch in range(cfg.epochs):
         losses, hits, total = [], 0, 0
         for batch_seqs in epoch_batches(pos, neg, cfg.sampler, epoch):
-            wrng = child_rng(cfg.seed, "sft-window", step)
+            wrng = child_rng(cfg.seed, "sft-window", opt.t)
             ids = [ids_array(window_sample(s, model_cfg.t_max, wrng)) for s in batch_seqs]
             labels = np.array([_class_label(s, head_cfg.n_classes) for s in batch_seqs])
-            drng = child_rng(cfg.seed, "sft-dropout", step)
-            with nm.GradTape() as tape:
+            drng = child_rng(cfg.seed, "sft-dropout", opt.t)
+
+            def loss_fn() -> nm.Tensor:
+                nonlocal hits
                 logits = batch_class_logits(ids, params, model_cfg, head_cfg, params,
                                             mode="train", rng=drng)
-                loss = nm.softmax_ce(logits, labels)
-                val = float(loss.data)
-                if not math.isfinite(val):
-                    raise RuntimeError(f"non-finite fine-tuning loss at step {step}")
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            losses.append(val)
-            hits += int((logits.data.argmax(axis=1) == labels).sum())
+                hits += int((logits.data.argmax(axis=1) == labels).sum())
+                return nm.softmax_ce(logits, labels)
+
+            losses.append(opt.minimize(loss_fn))
             total += len(labels)
-            step += 1
         metrics.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "accuracy": hits / total})
     return params, metrics
 
 
 def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
-                head_cfg: AnomalyHeadConfig, corpus: Sequence[BehaviorSequence],
+                head_cfg: AnomalyHeadConfig, users: Iterable[BehaviorSequence],
                 batch_size: int = 64) -> List[Tuple[str, float]]:
     """Anomaly probability per user, sorted descending (ties by user_id).
 
-    Each user is scored on their most recent ``t_max`` events, padded to
-    ``t_max``, so a score depends only on the checkpoint and that user's
+    ``users`` is read ``batch_size`` at a time, so a stream is never held
+    whole. Each user is scored on their most recent ``t_max`` events, padded
+    to ``t_max``, so a score depends only on the checkpoint and that user's
     events, bit for bit: not on corpus order, batch size or batch neighbours.
     """
     if head_cfg.n_classes != 2:
         raise ValueError("scoring requires the binary head")
     out = []
-    for start in range(0, len(corpus), batch_size):
-        chunk = corpus[start:start + batch_size]
+    users = iter(users)
+    while chunk := list(itertools.islice(users, batch_size)):
         ids = [ids_array(s)[-model_cfg.t_max:] for s in chunk]
         logits = batch_class_logits(ids, params, model_cfg, head_cfg, params, mode="eval")
         z = logits.data - logits.data.max(axis=1, keepdims=True)

@@ -133,8 +133,9 @@ def _check_sft_pipeline(rng) -> float:
 
 CHECKS: Dict[str, Callable] = {
     "matmul": _check_matmul,
-    "bmm": _weighted_check(nm.bmm, (2, 3, 4, 5), (2, 3, 5, 4)),
-    "bmm_t": _weighted_check(nm.bmm_t, (2, 3, 4, 5), (2, 3, 6, 5)),
+    # attention's forms: 2 sequences x 3 heads on leading axes
+    "matmul_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4)),
+    "matmul_t_batched": _weighted_check(nm.matmul_t, (2, 3, 4, 5), (2, 3, 6, 5)),
     # 2 sequences of 3 rows, 2 heads of width 4
     "split_heads": _weighted_check(lambda x: nm.split_heads(x, 2, 2), (6, 8)),
     "merge_heads": _weighted_check(nm.merge_heads, (2, 2, 3, 4)),

@@ -408,7 +408,8 @@ def run_all_stages(cfgp, out):
     ]
     for argv in steps:
         assert run_subcommand(argv) == 0, argv[0]
-    return [data, vocab, pre, out / "pre.ckpt.loss.csv", sft, cl, scores, emb]
+    return [data, vocab, pre, out / "pre.ckpt.loss.csv", sft, out / "sft.ckpt.metrics.csv",
+            cl, out / "cl.ckpt.loss.csv", scores, emb]
 
 
 def test_criterion_9_determinism(tmp_path, capsys):

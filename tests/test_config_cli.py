@@ -264,6 +264,49 @@ def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_path,
+                                                            capsys, monkeypatch):
+    from fraudformer import sft
+    real = sft.batch_class_logits
+    forwards = []
+
+    def counted(ids, *args, **kwargs):
+        forwards.append(len(ids))
+        return real(ids, *args, **kwargs)
+
+    monkeypatch.setattr(sft, "batch_class_logits", counted)
+    records = scoring_run["records"]
+    # 80 users, one full chunk of 64 and more, then a malformed line 81.
+    users = records + [dict(r, user_id=r["user_id"] + "-copy") for r in records]
+    data = write_records(tmp_path / "d.jsonl", users)
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    out = tmp_path / "s.csv"
+    assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(data), "--out", str(out)]) == 1
+    assert "line 81" in capsys.readouterr().err
+    assert forwards == [64]
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_cli_embed_csv_round_trips_float32(scoring_run, tmp_path, capsys):
+    from fraudformer.checkpoint import load_checkpoint
+    from fraudformer.contrastive import embed_batch
+    from fraudformer.data import ids_array, read_jsonl
+    out = tmp_path / "e.csv"
+    assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
+    ckpt = load_checkpoint(scoring_run["pre"])
+    users = read_jsonl(scoring_run["data"])
+    want = embed_batch([ids_array(s)[-ckpt.model.t_max:] for s in users],
+                       ckpt.params, ckpt.model).data
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [s.user_id for s in users]
+    got = np.array([r[1:] for r in rows], dtype=np.float64).astype(np.float32)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def count_embed_batches(monkeypatch, fail_on=None):
     """Wrap ``embed_batch`` to count its calls; raise on call number ``fail_on``."""
     from fraudformer import contrastive

@@ -39,18 +39,25 @@ def test_matmul_shape_error_names_shapes():
         ops.matmul(t64(np.zeros((1, 2))), t64(np.zeros((3, 1))))
 
 
-def test_bmm_matches_per_matrix_loop():
+def test_matmul_batched_matches_per_matrix_loop():
     rng = np.random.default_rng(4)
     a, b, c = rand64(rng, 2, 3, 4, 5), rand64(rng, 2, 3, 5, 6), rand64(rng, 2, 3, 6, 5)
-    prod, prod_t = ops.bmm(a, b).data, ops.bmm_t(a, c).data
+    prod, prod_t = ops.matmul(a, b).data, ops.matmul_t(a, c).data
     for i in range(2):
         for j in range(3):
             np.testing.assert_allclose(prod[i, j], a.data[i, j] @ b.data[i, j], atol=1e-12)
             np.testing.assert_allclose(prod_t[i, j], a.data[i, j] @ c.data[i, j].T, atol=1e-12)
-    with pytest.raises(DimensionError, match="bmm"):
-        ops.bmm(a, c)
-    with pytest.raises(DimensionError, match="bmm_t"):
-        ops.bmm_t(a, b)
+    with pytest.raises(DimensionError, match="matmul"):
+        ops.matmul(a, c)
+    with pytest.raises(DimensionError, match="matmul_t"):
+        ops.matmul_t(a, b)
+    # Leading axes must be equal: no broadcasting.
+    with pytest.raises(DimensionError, match="matmul"):
+        ops.matmul(a, rand64(rng, 1, 3, 5, 6))
+    with pytest.raises(DimensionError, match="matmul_t"):
+        ops.matmul_t(a, rand64(rng, 3, 2, 6, 5))
+    with pytest.raises(DimensionError, match="matmul"):
+        ops.matmul(a, rand64(rng, 5, 6))
 
 
 def test_split_heads_layout_and_merge_inverse():
@@ -359,6 +366,20 @@ def test_adam_determinism():
     np.testing.assert_array_equal(run(), run())
 
 
+def test_adam_minimize_builds_a_fresh_tape_each_step():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt = Adam({"w": w}, lr=0.1)
+    assert opt.minimize(lambda: ops.sum_all(ops.mul(w, w))) == 5.0
+    assert opt.t == 1
+    # A first Adam step moves each entry by about lr against its gradient.
+    np.testing.assert_allclose(w.data, [0.9, -1.9], atol=1e-6)
+    before = w.data.copy()
+    with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
+        opt.minimize(lambda: ops.scale(ops.sum_all(w), np.inf))
+    np.testing.assert_array_equal(w.data, before)
+    assert opt.t == 1
+
+
 def test_adam_lr_mult_zero_freezes_prefix():
     rng = np.random.default_rng(12)
     params = {"backbone.w": Tensor(rng.standard_normal(3), requires_grad=True),
@@ -376,6 +397,6 @@ def test_gradcheck_command_lists_the_batched_attention_ops(capsys):
     from fraudformer.cli import run_subcommand
     assert run_subcommand(["gradcheck"]) == 0
     listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
-    assert {"bmm", "bmm_t", "split_heads", "merge_heads"} <= listed
+    assert {"matmul_batched", "matmul_t_batched", "split_heads", "merge_heads"} <= listed
     # and the anomaly head's batched forms
     assert {"conv1d_batched", "max_over_time_batched", "row_diff_batched"} <= listed

@@ -1,0 +1,57 @@
+"""The step and the sampler shared by pretraining, SFT and contrastive tuning."""
+
+import numpy as np
+import pytest
+
+from fraudformer.contrastive import ContrastiveConfig, finetune_contrastive
+from fraudformer.data import default_vocab
+from fraudformer.model import ModelConfig, PretrainConfig, init_params, pretrain_loop
+from fraudformer.numerics.optim import Adam
+from fraudformer.rng import child_rng, shuffled_batches
+from fraudformer.sft import AnomalyHeadConfig, SamplerConfig, SftConfig, finetune_sft
+
+
+def test_shuffled_batches_walk_one_permutation_per_epoch():
+    batches = list(shuffled_batches(5, 2, 6, seed=3, label="t-order"))
+    perms = [child_rng(3, "t-order", epoch).permutation(5).tolist() for epoch in range(3)]
+    assert all(len(b) == 2 for b in batches)
+    # Batch 2 takes the last index of epoch 0 and the first of epoch 1.
+    assert [i for b in batches for i in b] == (perms[0] + perms[1] + perms[2])[:12]
+    with pytest.raises(ValueError, match="empty"):
+        next(shuffled_batches(0, 2, 1, seed=0, label="t-order"))
+
+
+MODEL = ModelConfig.for_vocab(default_vocab(), d_model=16, n_layers=1, n_heads=2,
+                              t_max=16, dropout=0.1)
+
+TRAINERS = {
+    "pretrain": lambda corpus: pretrain_loop(
+        corpus, MODEL, PretrainConfig(steps=2, batch_size=8, window=16)),
+    "sft": lambda corpus: finetune_sft(
+        init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
+        AnomalyHeadConfig(filters=4, hidden=8),
+        SftConfig(epochs=1, sampler=SamplerConfig(batch_size=8))),
+    "contrastive": lambda corpus: finetune_contrastive(
+        init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
+        ContrastiveConfig(batch_size=8, steps=2)),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_nan_parameter_stops_each_trainer_at_step_0(trainer, small_planted_corpus, monkeypatch):
+    """One NaN weight makes the first loss NaN; the step raises before any update."""
+    opts = []
+    real_init = Adam.__init__
+
+    def poisoned_init(self, params, *args, **kwargs):
+        real_init(self, params, *args, **kwargs)
+        params["layer0.mlp.w1"].data[0, 0] = np.nan
+        opts.append((self, {name: p.data.copy() for name, p in params.items()}))
+
+    monkeypatch.setattr(Adam, "__init__", poisoned_init)
+    with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+        TRAINERS[trainer](small_planted_corpus[:40])
+    [(opt, before)] = opts
+    assert opt.t == 0
+    for name, p in opt.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
