@@ -178,9 +178,9 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     scores = dict(_read_scores(args.scores))
-    corpus = read_jsonl(args.data)
+    # Streamed: each user's id array is dropped once its label is read.
     entries = [ev.RankEntry(s.user_id, scores[s.user_id], int(s.label > 0))
-               for s in corpus if s.user_id in scores]
+               for s in iter_jsonl(args.data) if s.user_id in scores]
     ks = [float(k) for k in args.k.split(",")] if args.k else [0.01, 0.001, 0.0001]
     rows = ev.topk_rank_metrics(entries, ks)
     print(ev.render_topk_report(rows), end="")

@@ -243,18 +243,18 @@ def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         h = nm.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        q, k, v = (nm.split_heads(nm.add(nm.matmul(h, params[f"{pre}.attn.w{c}"]),
-                                         params[f"{pre}.attn.b{c}"]), n_seq, heads)
+        q, k, v = (nm.split_heads(nm.matmul(h, params[f"{pre}.attn.w{c}"],
+                                            params[f"{pre}.attn.b{c}"]), n_seq, heads)
                    for c in "qkv")
         scores = nm.scale(nm.matmul_t(q, k), inv_sqrt)
         probs = nm.softmax_rows(nm.add_const(scores, mask))
-        att = nm.add(nm.matmul(nm.merge_heads(nm.matmul(probs, v)), params[f"{pre}.attn.wo"]),
-                     params[f"{pre}.attn.bo"])
+        att = nm.matmul(nm.merge_heads(nm.matmul(probs, v)), params[f"{pre}.attn.wo"],
+                        params[f"{pre}.attn.bo"])
         att = nm.dropout(att, cfg.dropout, rng, train)
         x = nm.add(x, att)
         h2 = nm.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        m = nm.relu(nm.add(nm.matmul(h2, params[f"{pre}.mlp.w1"]), params[f"{pre}.mlp.b1"]))
-        m = nm.add(nm.matmul(m, params[f"{pre}.mlp.w2"]), params[f"{pre}.mlp.b2"])
+        m = nm.relu(nm.matmul(h2, params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"]))
+        m = nm.matmul(m, params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"])
         m = nm.dropout(m, cfg.dropout, rng, train)
         x = nm.add(x, m)
     return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])

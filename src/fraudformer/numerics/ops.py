@@ -28,7 +28,13 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(backward)
+
+        def run():
+            backward()
+            # The tape runs in reverse, so every consumer of out has run.
+            out.grad = None
+
+        tape.record(run)
     return out
 
 
@@ -123,13 +129,21 @@ def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product a[..., m, k] @ b[..., k, n] over equal leading axes, if
-    any; there is no broadcasting."""
+    any; there is no broadcasting. An optional 1-D ``bias[n]`` is added on the
+    last axis, the same bits as ``add(matmul(a, b), bias)``."""
     if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
             or a.data.shape[-1] != b.data.shape[-2]):
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    n = b.data.shape[-1]
+    if bias is not None and bias.data.shape != (n,):
+        raise DimensionError(f"matmul: bias must have shape ({n},), got {bias.data.shape}")
+    y = a.data @ b.data
+    if bias is not None:
+        y += bias.data
+    out = Tensor(y)
+    inputs = (a, b) if bias is None else (a, b, bias)
 
     def backward():
         g = out.grad
@@ -141,8 +155,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.ensure_grad()
             b.grad += a.data.swapaxes(-1, -2) @ g
+        if bias is not None and bias.requires_grad:
+            bias.ensure_grad()
+            bias.grad += g.reshape(-1, n).sum(axis=0)
 
-    return _maybe_record(out, (a, b), backward)
+    return _maybe_record(out, inputs, backward)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -245,25 +262,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
     """Zero entries with probability p, rescale survivors by 1/(1-p).
 
-    Identity in eval mode or at p == 0. The random source is always passed
-    explicitly; there is no ambient RNG.
+    In eval mode or at p == 0 it is the identity and returns ``x`` itself.
+    The random source is always passed explicitly; there is no ambient RNG.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        mask = None
-        out = Tensor(x.data.copy())
-    else:
-        if rng is None:
-            raise ValueError("dropout in training mode needs an explicit rng")
-        mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-        mask = mask.astype(x.data.dtype)
-        out = Tensor(x.data * mask)
+        return x
+    if rng is None:
+        raise ValueError("dropout in training mode needs an explicit rng")
+    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = mask.astype(x.data.dtype)
+    out = Tensor(x.data * mask)
 
     def backward():
         if out.grad is not None and x.requires_grad:
             x.ensure_grad()
-            x.grad += out.grad if mask is None else out.grad * mask
+            x.grad += out.grad * mask
 
     return _maybe_record(out, (x,), backward)
 

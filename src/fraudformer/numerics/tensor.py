@@ -70,12 +70,14 @@ class GradTape:
     """Ordered record of executed primitives.
 
     Ops append a backward closure while the tape is active; ``backward``
-    replays the record once, in reverse, accumulating gradients additively
-    on fan-out.
+    pops and runs each record once, in reverse, accumulating gradients
+    additively on fan-out. A record, and the forward arrays it captured, is
+    freed as soon as it has run, so a tape serves one backward only.
     """
 
     def __init__(self):
         self._records: list[Callable[[], None]] = []
+        self._consumed = False
 
     def __enter__(self) -> "GradTape":
         if active_tape() is not None:
@@ -92,10 +94,14 @@ class GradTape:
     def backward(self, loss: Tensor) -> None:
         if loss.data.ndim != 0:
             raise DimensionError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+        if self._consumed:
+            raise RuntimeError("tape already consumed")
+        self._consumed = True
         loss.ensure_grad()
         loss.grad += np.ones_like(loss.data)
-        for fn in reversed(self._records):
-            fn()
+        records = self._records
+        while records:
+            records.pop()()
 
     def __len__(self) -> int:
         return len(self._records)

@@ -127,8 +127,8 @@ def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
 def _mlp(features: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tensor],
          mode: str, rng: Optional[np.random.Generator]) -> nm.Tensor:
     x = nm.dropout(features, cfg.dropout, rng, mode == "train")
-    x = nm.relu(nm.add(nm.matmul(x, params["head.mlp.w1"]), params["head.mlp.b1"]))
-    return nm.add(nm.matmul(x, params["head.mlp.w2"]), params["head.mlp.b2"])
+    x = nm.relu(nm.matmul(x, params["head.mlp.w1"], params["head.mlp.b1"]))
+    return nm.matmul(x, params["head.mlp.w2"], params["head.mlp.b2"])
 
 
 def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.Tensor],

@@ -135,6 +135,9 @@ CHECKS: Dict[str, Callable] = {
     "matmul": _check_matmul,
     # attention's forms: 2 sequences x 3 heads on leading axes
     "matmul_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4)),
+    # the linear layers: a bias on the last axis, folded into the product
+    "matmul_bias": _weighted_check(nm.matmul, (4, 6), (6, 5), (5,)),
+    "matmul_bias_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4), (4,)),
     "matmul_t_batched": _weighted_check(nm.matmul_t, (2, 3, 4, 5), (2, 3, 6, 5)),
     # 2 sequences of 3 rows, 2 heads of width 4
     "split_heads": _weighted_check(lambda x: nm.split_heads(x, 2, 2), (6, 8)),

@@ -105,8 +105,8 @@ def test_relu_forward():
 
 def test_dropout_identity_cases():
     x = t64(np.arange(12.0).reshape(3, 4))
-    np.testing.assert_array_equal(ops.dropout(x, 0.0, np.random.default_rng(0), True).data, x.data)
-    np.testing.assert_array_equal(ops.dropout(x, 0.5, None, False).data, x.data)
+    assert ops.dropout(x, 0.0, np.random.default_rng(0), True) is x
+    assert ops.dropout(x, 0.5, None, False) is x
 
 
 def test_dropout_mask_seed_behaviour():
@@ -220,6 +220,42 @@ def test_fanout_accumulates_both_paths():
         loss = ops.sum_all(y)
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0)
+    # Backward frees each record and each op output's gradient as it goes.
+    assert len(tape) == 0
+    assert y.grad is None and loss.grad is None
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = t64([2.0, -1.0, 3.0])
+    with GradTape() as tape:
+        loss = ops.sum_all(ops.add(x, x))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="tape already consumed"):
+        tape.backward(loss)
+    np.testing.assert_allclose(x.grad, 2.0)
+
+
+@pytest.mark.parametrize("shapes", [((6, 4), (4, 5)), ((2, 3, 6, 4), (2, 3, 4, 5))],
+                         ids=["2d", "batched"])
+def test_matmul_bias_is_bitwise_matmul_then_add(shapes):
+    rng = np.random.default_rng(8)
+    a_shape, w_shape = shapes
+    arrays = [rng.standard_normal(s).astype(np.float32)
+              for s in (a_shape, w_shape, w_shape[-1:], a_shape[:-1] + w_shape[-1:])]
+
+    def run(fused):
+        a, w, bias = (Tensor(arr, requires_grad=True) for arr in arrays[:3])
+        with GradTape() as tape:
+            out = ops.matmul(a, w, bias) if fused else ops.add(ops.matmul(a, w), bias)
+            tape.backward(ops.sum_all(ops.mul(out, Tensor(arrays[3]))))
+        return out.data, a.grad, w.grad, bias.grad
+
+    got, want = run(True), run(False)
+    assert got[0].dtype == np.float32
+    for g_arr, w_arr in zip(got, want):
+        np.testing.assert_array_equal(g_arr, w_arr)
+    with pytest.raises(DimensionError, match="bias"):
+        ops.matmul(t64(np.ones((2, 3))), t64(np.ones((3, 4))), t64(np.ones(3)))
 
 
 def test_backward_rejects_non_scalar():
@@ -398,5 +434,7 @@ def test_gradcheck_command_lists_the_batched_attention_ops(capsys):
     assert run_subcommand(["gradcheck"]) == 0
     listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
     assert {"matmul_batched", "matmul_t_batched", "split_heads", "merge_heads"} <= listed
+    # the linear layers' fused bias
+    assert {"matmul_bias", "matmul_bias_batched"} <= listed
     # and the anomaly head's batched forms
     assert {"conv1d_batched", "max_over_time_batched", "row_diff_batched"} <= listed

@@ -55,3 +55,40 @@ def test_nan_parameter_stops_each_trainer_at_step_0(trainer, small_planted_corpu
     assert opt.t == 0
     for name, p in opt.params.items():
         np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
+def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
+    """Backward frees the tape as it runs: a contrastive step at the default model
+    and batch (64 windows of 32 events, two dropout views) peaks within 1.25x of
+    the bytes its finished forward holds. Keeping every record and intermediate
+    gradient until the step ends gave 1.91x."""
+    import tracemalloc
+
+    import fraudformer.contrastive as cl
+    from fraudformer.config import DEFAULTS
+    from fraudformer.data import GeneratorConfig, generate_corpus
+
+    m = DEFAULTS["model"]
+    model = ModelConfig.for_vocab(default_vocab(), d_model=m["d_model"], n_layers=m["n_layers"],
+                                  n_heads=m["n_heads"], t_max=m["t_max"], dropout=m["dropout"])
+    corpus = generate_corpus(GeneratorConfig(n_users=64, t_min=32, t_max=48, seed=3))
+    params = init_params(model, np.random.default_rng(0))
+    held = []
+    real_infonce = cl.infonce_loss
+
+    def infonce_then_measure(*args):
+        loss = real_infonce(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return loss
+
+    monkeypatch.setattr(cl, "infonce_loss", infonce_then_measure)
+    tracemalloc.start()
+    try:
+        finetune_contrastive(params, model, corpus,
+                             ContrastiveConfig(batch_size=DEFAULTS["contrastive"]["batch_size"],
+                                               steps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [forward] = held
+    assert peak <= 1.25 * forward, f"peak {peak / 1e6:.1f} MB, forward {forward / 1e6:.1f} MB"
