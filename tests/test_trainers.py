@@ -1,10 +1,15 @@
 """The step and the sampler shared by pretraining, SFT and contrastive tuning."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fraudformer.contrastive as cl
+from fraudformer.config import load_run_config
 from fraudformer.contrastive import ContrastiveConfig, finetune_contrastive
-from fraudformer.data import default_vocab
+from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
 from fraudformer.model import ModelConfig, PretrainConfig, init_params, pretrain_loop
 from fraudformer.numerics.optim import Adam
 from fraudformer.rng import child_rng, shuffled_batches
@@ -61,16 +66,9 @@ def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
     """Backward frees the tape as it runs: a contrastive step at the default model
     and batch (64 windows of 32 events, two dropout views) peaks within 1.25x of
     the bytes its finished forward holds. Keeping every record and intermediate
-    gradient until the step ends gave 1.91x."""
-    import tracemalloc
-
-    import fraudformer.contrastive as cl
-    from fraudformer.config import DEFAULTS
-    from fraudformer.data import GeneratorConfig, generate_corpus
-
-    m = DEFAULTS["model"]
-    model = ModelConfig.for_vocab(default_vocab(), d_model=m["d_model"], n_layers=m["n_layers"],
-                                  n_heads=m["n_heads"], t_max=m["t_max"], dropout=m["dropout"])
+    gradient until the step ends gave 1.90x."""
+    run = load_run_config()
+    model = run.model_config(default_vocab())
     corpus = generate_corpus(GeneratorConfig(n_users=64, t_min=32, t_max=48, seed=3))
     params = init_params(model, np.random.default_rng(0))
     held = []
@@ -85,8 +83,7 @@ def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
     tracemalloc.start()
     try:
         finetune_contrastive(params, model, corpus,
-                             ContrastiveConfig(batch_size=DEFAULTS["contrastive"]["batch_size"],
-                                               steps=1))
+                             dataclasses.replace(run.contrastive_config(), steps=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
