@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(fn=cmd_score)
 
-    p = sub.add_parser("eval", help="top-k% report and ROC-AUC from a score CSV")
+    p = sub.add_parser("eval", help="top-k%% report and ROC-AUC from a score CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--data", required=True, help="corpus JSONL carrying true labels")
     p.add_argument("--k", help="comma-separated top fractions, e.g. 0.01,0.001")

@@ -44,7 +44,6 @@ DEFAULTS = {
         "steps": 400,
         "batch_size": 32,
         "lr": 3e-3,
-        "window": 32,
     },
     "sft": {
         "epochs": 3,
@@ -106,7 +105,7 @@ class RunConfig:
     def pretrain_config(self) -> PretrainConfig:
         p = self.raw["pretrain"]
         return PretrainConfig(steps=p["steps"], batch_size=p["batch_size"],
-                              lr=p["lr"], window=p["window"], seed=self.seed)
+                              lr=p["lr"], seed=self.seed)
 
     def head_config(self) -> AnomalyHeadConfig:
         s = self.raw["sft"]

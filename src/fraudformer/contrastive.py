@@ -27,10 +27,9 @@ def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                 cfg: ModelConfig, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Sequence embeddings: hidden state at each last non-pad position: [N, d_model]."""
-    batch = encode_batch(id_arrays, params, cfg, mode=mode)
-    h = causal_forward(batch.x, params, cfg, mode=mode,
-                       rows_per_seq=batch.rows_per_seq, rng=rng)
-    last = np.array([batch.last_row(b) for b in range(batch.batch)])
+    batch = encode_batch(id_arrays, params, cfg)
+    h = causal_forward(batch.x, params, cfg, mode=mode, rng=rng)
+    last = np.arange(len(batch.lengths)) * (cfg.t_max + 1) + batch.lengths
     return nm.take_rows(h, last)
 
 
@@ -67,7 +66,7 @@ def infonce_loss(v: nm.Tensor, v_plus: nm.Tensor, tau: float) -> nm.Tensor:
     eye = np.eye(n, dtype=v.data.dtype)
     pos = cosine_matrix(v, v_plus)
     neg = cosine_matrix(v, v)
-    logits = nm.add(nm.mul_const(pos, eye / tau), nm.mul_const(neg, (1.0 - eye) / tau))
+    logits = nm.add(nm.scale(pos, eye / tau), nm.scale(neg, (1.0 - eye) / tau))
     return nm.softmax_ce(logits, np.arange(n))
 
 

@@ -11,7 +11,7 @@ table, so there are no separate decode matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +24,7 @@ __all__ = [
     "ModelConfig", "PretrainConfig", "allocate_widths", "init_params",
     "param_count", "EncodedBatch", "encode_batch",
     "causal_forward", "reconstruct_logits", "reconstruction_loss",
-    "batch_reconstruction_loss", "pretrain_loop", "pad_batch",
+    "batch_reconstruction_loss", "pretrain_loop",
 ]
 
 
@@ -161,56 +161,33 @@ def param_count(cfg: ModelConfig) -> int:
 
 @dataclass
 class EncodedBatch:
-    """B sequences as [B * (seg_len + 1), d_model] rows: per sequence a BOS row,
-    then its events right-padded to seg_len."""
+    """B sequences as [B * (t_max + 1), d_model] rows: per sequence a BOS row,
+    then its events right-padded with PAD (0) to t_max."""
 
-    x: nm.Tensor            # [B * (seg_len + 1), d_model]
+    x: nm.Tensor            # [B * (t_max + 1), d_model]
+    ids: np.ndarray         # [B, t_max, D] padded token ids
     lengths: np.ndarray     # true (un-padded) event counts per sequence
-    seg_len: int            # padded event count per sequence
-
-    @property
-    def batch(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def rows_per_seq(self) -> int:
-        return self.seg_len + 1
-
-    def last_row(self, b: int) -> int:
-        """Row holding the hidden state after the last real event of b."""
-        return b * self.rows_per_seq + int(self.lengths[b])
-
-
-def pad_batch(id_arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-pad [T_i, D] id arrays with PAD (0) to a common length."""
-    lengths = np.array([a.shape[0] for a in id_arrays], dtype=np.int64)
-    seg = int(lengths.max())
-    d = id_arrays[0].shape[1]
-    out = np.zeros((len(id_arrays), seg, d), dtype=np.int64)
-    for i, a in enumerate(id_arrays):
-        out[i, :a.shape[0]] = a
-    return out, lengths
 
 
 def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
-                 cfg: ModelConfig, mode: str = "train") -> EncodedBatch:
+                 cfg: ModelConfig) -> EncodedBatch:
     """Embed [T_i, D] id arrays: each sequence gets a BOS row at position 0 and
     its events, their per-dimension embeddings concatenated, at positions 1..T_i.
 
-    Train mode pads to the longest sequence. Eval mode pads every sequence to
-    ``t_max``, so that a row's float sums, and so its outputs bit for bit, do
-    not depend on its batch neighbours.
+    Every sequence is padded to ``t_max``, so that a row's float sums, and so
+    its outputs bit for bit, do not depend on its batch neighbours.
     """
     if any(a.ndim != 2 or a.shape[1] != cfg.D for a in id_arrays):
         raise nm.DimensionError(f"ids must be [T, {cfg.D}], got "
                                 f"{[a.shape for a in id_arrays]}")
-    padded, lengths = pad_batch(id_arrays)
-    if padded.shape[1] > cfg.t_max:
-        raise nm.DimensionError(f"sequence length {padded.shape[1]} exceeds t_max={cfg.t_max}")
-    if mode == "eval":
-        padded = np.pad(padded, ((0, 0), (0, cfg.t_max - padded.shape[1]), (0, 0)))
-    batch, seg, _ = padded.shape
-    flat = padded.reshape(batch * seg, cfg.D)
+    lengths = np.array([a.shape[0] for a in id_arrays], dtype=np.int64)
+    if lengths.max() > cfg.t_max:
+        raise nm.DimensionError(f"sequence length {lengths.max()} exceeds t_max={cfg.t_max}")
+    batch, seg = len(id_arrays), cfg.t_max
+    ids = np.zeros((batch, seg, cfg.D), dtype=np.int64)
+    for i, a in enumerate(id_arrays):
+        ids[i, :a.shape[0]] = a
+    flat = ids.reshape(batch * seg, cfg.D)
     ev = nm.concat_cols([nm.take_rows(params[f"embed.{d}"], flat[:, d]) for d in range(cfg.D)])
     table = nm.concat_rows([nm.reshape(params["bos"], (1, cfg.d_model)), ev])
     # Row 0 of table is BOS, row 1 + b*seg + t is event t of sequence b.
@@ -218,25 +195,24 @@ def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
     rows[:, 1:] = 1 + np.arange(batch * seg).reshape(batch, seg)
     x = nm.add(nm.take_rows(table, rows.reshape(-1)),
                nm.take_rows(params["pos"], np.tile(np.arange(seg + 1), batch)))
-    return EncodedBatch(x=x, lengths=lengths, seg_len=seg)
+    return EncodedBatch(x=x, ids=ids, lengths=lengths)
 
 
 def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                   mode: str = "eval", rows_per_seq: Optional[int] = None,
+                   mode: str = "eval",
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Pre-norm causal self-attention blocks over [B * R, d_model] rows.
 
-    The rows are B sequences of R = rows_per_seq rows each (one sequence when
-    None). Attention runs per sequence and head under one shared R x R causal
-    mask, so a row sees only the earlier rows of its own sequence.
+    The rows are B sequences of R = t_max + 1 rows each, as ``encode_batch``
+    lays them out. Attention runs per sequence and head under one shared
+    R x R causal mask, so a row sees only the earlier rows of its own sequence.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    n = x.data.shape[0]
-    r = n if rows_per_seq is None else rows_per_seq
-    if r < 1 or n % r:
-        raise nm.DimensionError(f"{n} rows do not split into sequences of {r}")
+    n, r = x.data.shape[0], cfg.t_max + 1
+    if n % r:
+        raise nm.DimensionError(f"{n} rows do not split into sequences of t_max + 1 = {r}")
     n_seq, heads = n // r, cfg.n_heads
     mask = np.triu(np.full((r, r), -np.inf, dtype=x.data.dtype), k=1)
     inv_sqrt = 1.0 / math.sqrt(cfg.d_model // heads)
@@ -287,22 +263,15 @@ def reconstruction_loss(logits: Sequence[nm.Tensor], targets: np.ndarray,
 
 
 def batch_reconstruction_loss(batch: EncodedBatch, params: Dict[str, nm.Tensor],
-                              cfg: ModelConfig, id_arrays: Sequence[np.ndarray],
-                              mode: str = "train",
+                              cfg: ModelConfig, mode: str = "train",
                               rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Forward + next-event loss for an encoded batch."""
-    h = causal_forward(batch.x, params, cfg, mode=mode,
-                       rows_per_seq=batch.rows_per_seq, rng=rng)
+    """Forward + next-event loss for an encoded batch: row t of a sequence
+    (BOS first) predicts its event t, and only rows before its length count."""
+    h = causal_forward(batch.x, params, cfg, mode=mode, rng=rng)
     logits = reconstruct_logits(h, params, cfg)
-    rows = batch.batch * batch.rows_per_seq
-    targets = np.zeros((rows, cfg.D), dtype=np.int64)
-    valid = np.zeros(rows, dtype=bool)
-    for b, ids in enumerate(id_arrays):
-        t_len = ids.shape[0]
-        base = b * batch.rows_per_seq
-        targets[base: base + t_len] = ids
-        valid[base: base + t_len] = True
-    return reconstruction_loss(logits, targets, valid)
+    targets = np.pad(batch.ids, ((0, 0), (0, 1), (0, 0))).reshape(-1, cfg.D)
+    valid = np.arange(cfg.t_max + 1) < batch.lengths[:, None]
+    return reconstruction_loss(logits, targets, valid.reshape(-1))
 
 
 @dataclass
@@ -310,15 +279,14 @@ class PretrainConfig:
     steps: int = 400
     batch_size: int = 32
     lr: float = 3e-3
-    window: int = 32
     seed: int = 0
 
 
 def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,
                   train_cfg: PretrainConfig,
                   dtype=np.float32) -> Tuple[Dict[str, nm.Tensor], List[Tuple[int, float]]]:
-    """Next-event pretraining from fresh parameters; returns them and the
-    (step, loss) curve."""
+    """Next-event pretraining on ``t_max`` windows from fresh parameters;
+    returns the parameters and the (step, loss) curve."""
     if not corpus:
         raise ValueError("pretraining corpus is empty")
     params = init_params(cfg, child_rng(train_cfg.seed, "init"), dtype=dtype)
@@ -328,9 +296,9 @@ def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,
     curve: List[Tuple[int, float]] = []
     for step, picks in enumerate(batches):
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
-        ids = [ids_array(window_sample(corpus[i], train_cfg.window, wrng)) for i in picks]
+        ids = [ids_array(window_sample(corpus[i], cfg.t_max, wrng)) for i in picks]
         drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
         loss = opt.minimize(lambda: batch_reconstruction_loss(
-            encode_batch(ids, params, cfg), params, cfg, ids, mode="train", rng=drng))
+            encode_batch(ids, params, cfg), params, cfg, mode="train", rng=drng))
         curve.append((step, loss))
     return params, curve

@@ -2,8 +2,8 @@
 
 Each op computes its numpy forward, and when a tape is active and any
 input requires a gradient, records a backward closure. No implicit
-broadcasting beyond the bias patterns spelled out per op; reshape
-explicitly otherwise.
+broadcasting beyond the patterns spelled out per op (``matmul``'s bias,
+``scale``'s and ``add_const``'s constants); reshape explicitly otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .tensor import DimensionError, GradTape, Tensor, active_tape
 
 __all__ = [
-    "add", "add_n", "scale", "add_const", "mul", "mul_const",
+    "add", "add_n", "scale", "add_const", "mul",
     "matmul", "matmul_t", "split_heads", "merge_heads",
     "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
@@ -39,9 +39,8 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias matching a's last axis."""
-    bias = a.data.shape != b.data.shape
-    if bias and not (b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]):
+    """Elementwise sum of equal shapes; a linear layer's bias goes to ``matmul``."""
+    if a.data.shape != b.data.shape:
         raise DimensionError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data + b.data)
 
@@ -54,7 +53,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.grad += g
         if b.requires_grad:
             b.ensure_grad()
-            b.grad += g.reshape(-1, g.shape[-1]).sum(axis=0) if bias else g
+            b.grad += g
 
     return _maybe_record(out, (a, b), backward)
 
@@ -76,7 +75,9 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
     return _maybe_record(out, tensors, backward)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
+def scale(x: Tensor, c) -> Tensor:
+    """x times a non-learned constant: a float, or an array that broadcasts to
+    x's shape (e.g. a 0/1 mask)."""
     out = Tensor(x.data * c)
 
     def backward():
@@ -116,17 +117,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.grad += g * a.data
 
     return _maybe_record(out, (a, b), backward)
-
-
-def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
-    out = Tensor(x.data * arr)
-
-    def backward():
-        if out.grad is not None and x.requires_grad:
-            x.ensure_grad()
-            x.grad += out.grad * arr
-
-    return _maybe_record(out, (x,), backward)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -41,7 +41,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, *,
 
 
 class Adam:
-    """Adam over a named parameter dict, with optional per-name lr multipliers.
+    """Adam over a named parameter dict, with optional lr multipliers keyed by
+    exact parameter name (1.0 for a name not listed).
 
     Parameters with a zero multiplier are frozen (their state does not
     advance either, so they stay bit-identical).
@@ -59,20 +60,11 @@ class Adam:
         self.t = 0
         self.state = {name: AdamState(p.data) for name, p in params.items()}
 
-    def _mult(self, name: str) -> float:
-        best = 1.0
-        best_len = -1
-        for prefix, m in self.lr_mult.items():
-            if name == prefix or name.startswith(prefix + "."):
-                if len(prefix) > best_len:
-                    best, best_len = m, len(prefix)
-        return best
-
     def step(self) -> None:
         self.t += 1
         for name in sorted(self.params):
             p = self.params[name]
-            mult = self._mult(name)
+            mult = self.lr_mult.get(name, 1.0)
             if mult == 0.0 or p.grad is None:
                 continue
             adam_step(p.data, p.grad, self.state[name],

@@ -120,7 +120,7 @@ def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
     for k in cfg.kernel_sizes:
         conv = nm.relu(nm.conv1d(hdiff, params[f"head.conv{k}.w"], params[f"head.conv{k}.b"]))
         valid = np.arange(r - 1 - k)[None, :, None] < (lengths - k)[:, None, None]
-        pooled.append(nm.max_over_time(nm.mul_const(conv, valid.astype(conv.data.dtype))))
+        pooled.append(nm.max_over_time(nm.scale(conv, valid.astype(conv.data.dtype))))
     return nm.concat_cols(pooled)
 
 
@@ -136,9 +136,8 @@ def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.T
                        head: Dict[str, nm.Tensor], mode: str = "eval",
                        rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes]."""
-    batch = encode_batch(id_arrays, backbone, model_cfg, mode=mode)
-    h = causal_forward(batch.x, backbone, model_cfg, mode=mode,
-                       rows_per_seq=batch.rows_per_seq, rng=rng)
+    batch = encode_batch(id_arrays, backbone, model_cfg)
+    h = causal_forward(batch.x, backbone, model_cfg, mode=mode, rng=rng)
     return _mlp(head_features(h, batch.lengths, head_cfg, head), head_cfg, head, mode, rng)
 
 

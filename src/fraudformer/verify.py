@@ -103,7 +103,7 @@ def _check_reconstruction(rng) -> float:
 
     def loss():
         batch = encode_batch(ids, params, cfg)
-        return batch_reconstruction_loss(batch, params, cfg, ids, mode="eval")
+        return batch_reconstruction_loss(batch, params, cfg, mode="eval")
 
     return nm.grad_check(loss, wiggle, rng, n_probes=20)
 

@@ -1,5 +1,6 @@
 """Run configuration merging and CLI subcommands."""
 
+import argparse
 import json
 
 import numpy as np
@@ -34,6 +35,9 @@ def test_unknown_keys_rejected(tmp_path):
     p.write_text(json.dumps({"bogus_section": {}}))
     with pytest.raises(ConfigError, match="bogus_section"):
         load_run_config(p)
+    # Pretraining windows are t_max events, as in SFT and contrastive tuning.
+    with pytest.raises(ConfigError, match="pretrain.window"):
+        load_run_config({"pretrain": {"window": 32}})
 
 
 def test_with_seed_propagates():
@@ -70,6 +74,19 @@ def test_cli_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_help_renders_for_every_subcommand(capsys):
+    """argparse %-formats help text: a bare % in a subcommand's help put a
+    dict dump in the top-level help."""
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    for argv in [[]] + [[name] for name in subparsers.choices]:
+        with pytest.raises(SystemExit) as exc:
+            run_subcommand(argv + ["--help"])
+        assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "top-k% report" in out and "'option_strings'" not in out
 
 
 def test_cli_runtime_failure_exit_1(tmp_path, capsys):

@@ -58,13 +58,13 @@ def test_embed_concat_shape_and_position():
     params = f64_params(cfg)
     ids = np.array([[1, 2], [3, 4], [2, 1]])
     out = encode_batch([ids], params, cfg).x
-    assert out.shape == (4, cfg.d_model)
+    assert out.shape == (cfg.t_max + 1, cfg.d_model)
     np.testing.assert_allclose(out.data[0], params["bos"].data + params["pos"].data[0],
                                atol=1e-12)
     expect = np.concatenate([params["embed.0"].data[ids[:, 0]],
                              params["embed.1"].data[ids[:, 1]]], axis=1)
     expect = expect + params["pos"].data[[1, 2, 3]]
-    np.testing.assert_allclose(out.data[1:], expect, atol=1e-12)
+    np.testing.assert_allclose(out.data[1:4], expect, atol=1e-12)
 
 
 def test_embed_concat_single_dim_degenerate():
@@ -74,7 +74,7 @@ def test_embed_concat_single_dim_degenerate():
     ids = np.array([[2], [5]])
     out = encode_batch([ids], params, cfg).x
     expect = params["embed.0"].data[[2, 5]] + params["pos"].data[[1, 2]]
-    np.testing.assert_allclose(out.data[1:], expect, atol=1e-12)
+    np.testing.assert_allclose(out.data[1:3], expect, atol=1e-12)
 
 
 def test_embed_concat_changing_one_dim_touches_one_slice():
@@ -104,16 +104,14 @@ def test_embed_concat_errors():
                         params, cfg).x.shape == (cfg.t_max + 1, cfg.d_model)
 
 
-def test_encode_batch_eval_pads_to_t_max():
+def test_encode_batch_pads_to_t_max():
     cfg = tiny_model_config()
     params = f64_params(cfg)
     ids = [np.ones((3, 2), dtype=np.int64), np.ones((5, 2), dtype=np.int64)]
-    train = encode_batch(ids, params, cfg)
-    ev = encode_batch(ids, params, cfg, mode="eval")
-    assert (train.seg_len, ev.seg_len) == (5, cfg.t_max)
-    assert list(ev.lengths) == [3, 5] and ev.last_row(1) == cfg.t_max + 1 + 5
-    with pytest.raises(DimensionError):
-        encode_batch([np.ones((cfg.t_max + 1, 2), dtype=np.int64)], params, cfg, mode="eval")
+    enc = encode_batch(ids, params, cfg)
+    assert enc.x.shape == (2 * (cfg.t_max + 1), cfg.d_model)
+    assert enc.ids.shape == (2, cfg.t_max, 2) and list(enc.lengths) == [3, 5]
+    assert enc.ids[0, :3].all() and not enc.ids[0, 3:].any() and not enc.ids[1, 5:].any()
 
 
 # --- causality ----------------------------------------------------------------
@@ -136,8 +134,8 @@ def test_causal_forward_is_strictly_causal():
 def test_causal_forward_t1_single_position():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg)
-    out = causal_forward(Tensor(params["bos"].data[None, :]), params, cfg)
-    assert out.shape == (1, cfg.d_model)
+    out = hidden(np.array([[1, 2]]), params, cfg)
+    assert out.shape == (cfg.t_max + 1, cfg.d_model)
     assert np.isfinite(out.data).all()
 
 
@@ -146,24 +144,24 @@ def test_causal_forward_rejects_ragged_rows():
     params = f64_params(cfg)
     x = encode_batch([np.ones((4, 2), dtype=np.int64)], params, cfg).x
     with pytest.raises(DimensionError):
-        causal_forward(x, params, cfg, rows_per_seq=2)  # 5 rows
+        causal_forward(Tensor(x.data[:-1]), params, cfg)  # t_max rows
 
 
 @given(lengths=st.lists(st.integers(1, 12), min_size=2, max_size=5),
        pick=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=20, deadline=None)
 def test_hidden_rows_alone_equal_rows_in_batch(lengths, pick, seed):
-    """A sequence's hidden rows do not depend on its batch neighbours, their
-    lengths or the padding they force on it."""
+    """A sequence's hidden rows, padding included, do not depend on its batch
+    neighbours or their lengths."""
     cfg = tiny_model_config(n_layers=2, dropout=0.0)
     params = f64_params(cfg, seed=5)
     rng = np.random.default_rng(seed)
     ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
            for t in lengths]
     b = pick % len(ids)
-    enc = encode_batch(ids, params, cfg)
-    rows = causal_forward(enc.x, params, cfg, rows_per_seq=enc.rows_per_seq).data
-    mine = rows[b * enc.rows_per_seq: b * enc.rows_per_seq + lengths[b] + 1]
+    r = cfg.t_max + 1
+    rows = causal_forward(encode_batch(ids, params, cfg).x, params, cfg).data
+    mine = rows[b * r: (b + 1) * r]
     np.testing.assert_allclose(mine, hidden(ids[b], params, cfg).data, rtol=0, atol=1e-12)
 
 
@@ -197,7 +195,7 @@ def test_embedding_gradient_flows_from_both_paths():
 
     def loss_fn():
         batch = encode_batch([ids], params, cfg)
-        return batch_reconstruction_loss(batch, params, cfg, [ids], mode="eval")
+        return batch_reconstruction_loss(batch, params, cfg, mode="eval")
 
     err = grad_check(loss_fn, [params["embed.0"], params["embed.1"]],
                      np.random.default_rng(0), n_probes=20)
@@ -284,11 +282,11 @@ def test_full_model_gradient_check():
 def test_pretrain_lr_zero_keeps_params(tiny_corpus):
     cfg = tiny_model_config()
     out, curve = pretrain_loop(tiny_corpus, cfg,
-                               PretrainConfig(steps=3, batch_size=4, lr=0.0, window=8, seed=0))
+                               PretrainConfig(steps=3, batch_size=4, lr=0.0, seed=0))
     fresh = init_params(cfg, np.random.default_rng(0))
     # Same init seed stream: identical start, and lr=0 leaves it untouched.
     ref, _ = pretrain_loop(tiny_corpus, cfg,
-                           PretrainConfig(steps=1, batch_size=4, lr=0.0, window=8, seed=0))
+                           PretrainConfig(steps=1, batch_size=4, lr=0.0, seed=0))
     for k in out:
         np.testing.assert_array_equal(out[k].data, ref[k].data)
     assert len(curve) == 3
@@ -296,7 +294,7 @@ def test_pretrain_lr_zero_keeps_params(tiny_corpus):
 
 def test_pretrain_determinism(tiny_corpus):
     cfg = tiny_model_config()
-    pc = PretrainConfig(steps=5, batch_size=4, lr=1e-3, window=8, seed=3)
+    pc = PretrainConfig(steps=5, batch_size=4, lr=1e-3, seed=3)
     _, c1 = pretrain_loop(tiny_corpus, cfg, pc)
     _, c2 = pretrain_loop(tiny_corpus, cfg, pc)
     assert c1 == c2
@@ -307,7 +305,7 @@ def test_pretrain_overfits_tiny_corpus():
     corpus = [make_sequence(rng, TINY_VOCAB, 16, f"u{i:03d}") for i in range(32)]
     cfg = ModelConfig(cardinalities=(4, 5), d_k=(32, 32), d_model=64, n_layers=2,
                       n_heads=4, t_max=16, dropout=0.0)
-    pc = PretrainConfig(steps=500, batch_size=8, lr=3e-3, window=16, seed=0)
+    pc = PretrainConfig(steps=500, batch_size=8, lr=3e-3, seed=0)
     _, curve = pretrain_loop(corpus, cfg, pc)
     first = curve[0][1]
     tail = np.mean([l for _, l in curve[-20:]])
@@ -316,7 +314,7 @@ def test_pretrain_overfits_tiny_corpus():
 
 def test_pretrain_initial_loss_near_uniform(tiny_corpus):
     cfg = tiny_model_config()
-    pc = PretrainConfig(steps=1, batch_size=8, lr=1e-3, window=8, seed=1)
+    pc = PretrainConfig(steps=1, batch_size=8, lr=1e-3, seed=1)
     _, curve = pretrain_loop(tiny_corpus, cfg, pc)
     expect = (math.log(4) + math.log(5)) / 2
     assert abs(curve[0][1] - expect) / expect < 0.05
@@ -332,7 +330,7 @@ def test_batch_loss_ignores_padding():
     def batch_loss(seqs):
         arrays = [ids_array(s) for s in seqs]
         enc = encode_batch(arrays, params, cfg)
-        return batch_reconstruction_loss(enc, params, cfg, arrays, mode="eval").item()
+        return batch_reconstruction_loss(enc, params, cfg, mode="eval").item()
 
     alone = batch_loss([short, short])
     padded = batch_loss([short, long])

@@ -243,19 +243,21 @@ def test_matmul_bias_is_bitwise_matmul_then_add(shapes):
     arrays = [rng.standard_normal(s).astype(np.float32)
               for s in (a_shape, w_shape, w_shape[-1:], a_shape[:-1] + w_shape[-1:])]
 
-    def run(fused):
-        a, w, bias = (Tensor(arr, requires_grad=True) for arr in arrays[:3])
-        with GradTape() as tape:
-            out = ops.matmul(a, w, bias) if fused else ops.add(ops.matmul(a, w), bias)
-            tape.backward(ops.sum_all(ops.mul(out, Tensor(arrays[3]))))
-        return out.data, a.grad, w.grad, bias.grad
-
-    got, want = run(True), run(False)
-    assert got[0].dtype == np.float32
-    for g_arr, w_arr in zip(got, want):
-        np.testing.assert_array_equal(g_arr, w_arr)
+    a, w, bias = (Tensor(arr, requires_grad=True) for arr in arrays[:3])
+    with GradTape() as tape:
+        out = ops.matmul(a, w, bias)
+        tape.backward(ops.sum_all(ops.mul(out, Tensor(arrays[3]))))
+    # The unfused reference: the matmul, then the bias add and its gradients.
+    g = arrays[3]
+    want = (arrays[0] @ arrays[1] + arrays[2], g @ arrays[1].swapaxes(-1, -2),
+            arrays[0].swapaxes(-1, -2) @ g, g.reshape(-1, g.shape[-1]).sum(axis=0))
+    assert out.data.dtype == np.float32
+    for got_arr, want_arr in zip((out.data, a.grad, w.grad, bias.grad), want):
+        np.testing.assert_array_equal(got_arr, want_arr)
     with pytest.raises(DimensionError, match="bias"):
         ops.matmul(t64(np.ones((2, 3))), t64(np.ones((3, 4))), t64(np.ones(3)))
+    with pytest.raises(DimensionError, match="add"):  # a bias goes to matmul, not add
+        ops.add(t64(np.ones((2, 4))), t64(np.ones(4)))
 
 
 def test_backward_rejects_non_scalar():
@@ -289,7 +291,7 @@ def test_gradients_match_finite_differences(name):
         fn = lambda: ops.sum_all(ops.mul(ops.matmul_t(a, b), ops.matmul_t(a, b)))
         wiggle = [a, b]
     elif name == "add":
-        a, b = rand64(rng, 4, 3), rand64(rng, 3)
+        a, b = rand64(rng, 4, 3), rand64(rng, 4, 3)
         fn = lambda: ops.sum_all(ops.mul(ops.add(a, b), ops.add(a, b)))
         wiggle = [a, b]
     elif name == "mul":
@@ -416,12 +418,13 @@ def test_adam_minimize_builds_a_fresh_tape_each_step():
     assert opt.t == 1
 
 
-def test_adam_lr_mult_zero_freezes_prefix():
+def test_adam_lr_mult_zero_freezes_named_param():
     rng = np.random.default_rng(12)
     params = {"backbone.w": Tensor(rng.standard_normal(3), requires_grad=True),
               "head.w": Tensor(rng.standard_normal(3), requires_grad=True)}
     before = params["backbone.w"].data.copy()
-    opt = Adam(params, lr=0.1, lr_mult={"backbone": 0.0})
+    # Names match exactly: the "head" entry is no prefix of "head.w".
+    opt = Adam(params, lr=0.1, lr_mult={"backbone.w": 0.0, "head": 0.0})
     for p in params.values():
         p.ensure_grad()[:] = 1.0
     opt.step()

@@ -127,10 +127,10 @@ def test_batched_head_equals_each_sequence_alone(seed, lengths):
            for t in lengths]
 
     batch = encode_batch(ids, params, cfg)
-    h = causal_forward(batch.x, params, cfg, rows_per_seq=batch.rows_per_seq)
+    h = causal_forward(batch.x, params, cfg)
     feats = head_features(h, batch.lengths, head_cfg, params).data
     logits = batch_class_logits(ids, params, cfg, head_cfg, params).data
-    r = batch.rows_per_seq
+    r = cfg.t_max + 1
     for b, t in enumerate(lengths):
         rows = Tensor(h.data[b * r:b * r + t + 1])
         alone = head_features(rows, np.array([t]), head_cfg, params).data[0]

@@ -31,7 +31,7 @@ MODEL = ModelConfig.for_vocab(default_vocab(), d_model=16, n_layers=1, n_heads=2
 
 TRAINERS = {
     "pretrain": lambda corpus: pretrain_loop(
-        corpus, MODEL, PretrainConfig(steps=2, batch_size=8, window=16)),
+        corpus, MODEL, PretrainConfig(steps=2, batch_size=8)),
     "sft": lambda corpus: finetune_sft(
         init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
         AnomalyHeadConfig(filters=4, hidden=8),
