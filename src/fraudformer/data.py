@@ -148,8 +148,7 @@ def bucketize_amount(amount: float, buckets: int = 16) -> int:
 def window_sample(seq: BehaviorSequence, window: int, rng: np.random.Generator) -> BehaviorSequence:
     """Uniformly sample a contiguous window of length min(window, len).
 
-    The onset is re-indexed into the window; if it falls outside, it is
-    dropped and the label reverts to 0.
+    The window carries the user's id and events only: no label or onset.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -159,13 +158,7 @@ def window_sample(seq: BehaviorSequence, window: int, rng: np.random.Generator) 
     else:
         start = int(rng.integers(0, n - window + 1))
         stop = start + window
-    label, onset = seq.label, seq.anomaly_onset
-    if onset is not None:
-        if start <= onset < stop:
-            onset -= start
-        else:
-            onset, label = None, 0
-    return BehaviorSequence(seq.user_id, seq.ids[start:stop], label, onset)
+    return BehaviorSequence(seq.user_id, seq.ids[start:stop])
 
 
 @dataclass

@@ -253,10 +253,13 @@ def reconstruction_loss(logits: Sequence[nm.Tensor], targets: np.ndarray,
     valid marks rows that carry a real next event.
     """
     valid = np.asarray(valid, dtype=bool)
+    n, d = logits[0].data.shape[0], len(logits)
+    if valid.shape != (n,) or np.shape(targets) != (n, d):
+        raise nm.DimensionError(f"reconstruction_loss: {n} logit rows in {d} dims vs "
+                                f"targets {np.shape(targets)} and valid {valid.shape}")
     idx = np.flatnonzero(valid)
     if idx.size == 0:
         raise ValueError("reconstruction loss over an all-padded batch")
-    d = len(logits)
     terms = [nm.softmax_ce(nm.take_rows(lg, idx), targets[idx, di])
              for di, lg in enumerate(logits)]
     return nm.scale(nm.add_n(terms), 1.0 / d)

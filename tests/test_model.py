@@ -259,13 +259,25 @@ def test_reconstruction_loss_all_padded_raises():
                             np.zeros(2, dtype=bool))
 
 
+def test_reconstruction_loss_rejects_misaligned_rows():
+    logits = [Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5)))]
+    targets, valid = np.zeros((3, 2), dtype=np.int64), np.ones(3, dtype=bool)
+    reconstruction_loss(logits, targets, valid)  # aligned: accepted
+    for bad_targets, bad_valid in ((targets[:2], valid), (targets[:, :1], valid),
+                                   (targets, valid[:2])):
+        with pytest.raises(DimensionError, match="reconstruction_loss"):
+            reconstruction_loss(logits, bad_targets, bad_valid)
+
+
 def test_full_model_gradient_check():
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg, seed=6)
     rng = np.random.default_rng(2)
     ids = rng.integers(1, 4, size=(4, 2))
-    targets = rng.integers(1, 4, size=(5, 2))
-    valid = np.array([True, True, True, True, False])
+    # One row per BOS/event position of a sequence padded to t_max 12; only
+    # the first 4 rows carry a real next event.
+    targets = np.pad(rng.integers(1, 4, size=(5, 2)), ((0, 8), (0, 0)))
+    valid = np.arange(13) < 4
 
     def loss_fn():
         h = hidden(ids, params, cfg)

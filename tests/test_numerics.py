@@ -1,12 +1,14 @@
 """Tensor engine: forward oracles, finite-difference checks, Adam."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraudformer import verify
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
 from fraudformer.numerics.optim import Adam, AdamState, NonFiniteGradientError, adam_step
@@ -275,13 +277,17 @@ def test_nested_tapes_rejected():
                 pass
 
 
-@pytest.mark.parametrize("name", [
+GRADIENT_CASES = [
     "matmul", "matmul_t", "add", "mul", "layer_norm", "relu", "softmax_ce",
     "conv1d", "max_over_time", "concat_slice", "take_rows", "normalize_rows",
-    "row_diff", "softmax_rows", "dropout", "take_rows_2d",
-])
+    "row_diff", "softmax_rows", "dropout", "take_rows_2d", "add_n",
+    "scale_float", "scale_array", "add_const", "concat_rows", "reshape", "sum_all",
+]
+
+
+@pytest.mark.parametrize("name", GRADIENT_CASES)
 def test_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % (2 ** 31))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if name == "matmul":
         a, b = rand64(rng, 3, 4), rand64(rng, 4, 2)
         fn = lambda: ops.sum_all(ops.matmul(a, b))
@@ -349,6 +355,33 @@ def test_gradients_match_finite_differences(name):
         w = rng.standard_normal((4, 5))
         fn = lambda: ops.sum_all(ops.mul(ops.softmax_rows(x), Tensor(w)))
         wiggle = [x]
+    elif name == "add_n":
+        a, b = rand64(rng, 3, 4), rand64(rng, 3, 4)
+        fn = lambda: ops.sum_all(ops.mul(ops.add_n([a, b, a]), ops.add_n([a, b, a])))
+        wiggle = [a, b]
+    elif name in ("scale_float", "scale_array"):
+        x = rand64(rng, 4, 5)
+        c = -1.7 if name == "scale_float" else rng.standard_normal((4, 5))
+        fn = lambda: ops.sum_all(ops.mul(ops.scale(x, c), ops.scale(x, c)))
+        wiggle = [x]
+    elif name == "add_const":
+        x = rand64(rng, 4, 5)
+        c = rng.standard_normal((4, 5))
+        fn = lambda: ops.sum_all(ops.mul(ops.add_const(x, c), ops.add_const(x, c)))
+        wiggle = [x]
+    elif name == "concat_rows":
+        a, b = rand64(rng, 2, 3), rand64(rng, 4, 3)
+        fn = lambda: ops.sum_all(ops.mul(ops.concat_rows([a, b, a]), ops.concat_rows([a, b, a])))
+        wiggle = [a, b]
+    elif name == "reshape":
+        x = rand64(rng, 4, 6)
+        w = rng.standard_normal((2, 12))
+        fn = lambda: ops.sum_all(ops.mul(ops.reshape(x, (2, 12)), Tensor(w)))
+        wiggle = [x]
+    elif name == "sum_all":
+        x = rand64(rng, 3, 5)
+        fn = lambda: ops.sum_all(x)
+        wiggle = [x]
     else:  # dropout: fix the mask so the loss is deterministic
         x = rand64(rng, 6, 6)
         fn = lambda: ops.sum_all(ops.mul(ops.dropout(x, 0.4, np.random.default_rng(99), True),
@@ -356,6 +389,33 @@ def test_gradients_match_finite_differences(name):
         wiggle = [x]
     err = grad_check(fn, wiggle, np.random.default_rng(0), n_probes=20)
     assert err < 1e-4, f"{name}: max rel err {err:.3e}"
+
+
+def test_every_op_has_a_finite_difference_check():
+    # A case "op" or "op_<form>" here, or a verify.CHECKS entry, checks op.
+    names = set(GRADIENT_CASES) | set(verify.CHECKS) | {"concat_cols", "slice_cols"}  # concat_slice
+    missing = [op for op in ops.__all__
+               if not any(n == op or n.startswith(op + "_") for n in names)]
+    assert not missing, f"ops without a gradient check: {missing}"
+
+
+def test_backward_skips_constants_and_scatters_onto_a_held_gradient():
+    rng = np.random.default_rng(4)
+    table = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+    h, w_rows, w_tied = (Tensor(rng.standard_normal(s).astype(np.float32))
+                         for s in ((4, 3), (6, 3), (4, 5)))
+    idx = np.array([1, 3, 1, 0, 3, 1])  # repeated rows
+    with GradTape() as tape:
+        rows = ops.take_rows(table, idx)  # recorded first, so its scatter runs last
+        tied = ops.matmul_t(h, table)     # the tied decoder's part lands first
+        tape.backward(ops.add(ops.sum_all(ops.mul(rows, w_rows)),
+                              ops.sum_all(ops.mul(tied, w_tied))))
+    # Constant inputs get no gradient.
+    assert all(t.grad is None for t in (h, w_rows, w_tied))
+    want = np.zeros_like(table.data)
+    want += w_tied.data.T @ h.data
+    np.add.at(want, idx, w_rows.data)
+    np.testing.assert_array_equal(table.grad, want)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
