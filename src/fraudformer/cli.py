@@ -31,10 +31,6 @@ __all__ = ["main", "run_subcommand", "pipeline_smoke"]
 EMBED_CHUNK = 16
 
 
-def _dtype(mode: str):
-    return np.float64 if mode == "f64" else np.float32
-
-
 def _load_cfg(args) -> RunConfig:
     cfg = load_run_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
@@ -89,8 +85,7 @@ def cmd_pretrain(args) -> int:
     vocab = read_vocab(args.vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
     model_cfg = cfg.model_config(vocab)
-    params, curve = pretrain_loop(corpus, model_cfg, cfg.pretrain_config(),
-                                  dtype=_dtype(args.mode))
+    params, curve = pretrain_loop(corpus, model_cfg, cfg.pretrain_config())
     save_checkpoint(args.out, params, model_cfg, kind="pretrain",
                     meta={"steps": len(curve), "final_loss": curve[-1][1],
                           "seed": cfg.seed})
@@ -204,7 +199,7 @@ def cmd_embed(args) -> int:
         fh.write(f"user_id,{header}\n")
         while chunk := list(itertools.islice(users, EMBED_CHUNK)):
             ids = [ids_array(seq)[-model.t_max:] for seq in chunk]
-            vecs = cl.embed_batch(ids, ckpt.params, model, mode="eval").data
+            vecs = cl.embed_batch(ids, ckpt.params, model).data
             for seq, vec in zip(chunk, vecs):
                 # 9 significant digits round-trip a float32 exactly; Python
                 # floats format faster than numpy scalars, to the same text.
@@ -329,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Payment-behavior sequence modeling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, out=True):
+    def common(p, config=True):
         if config:
             p.add_argument("--config", help="run-config JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if out:
-            p.add_argument("--out", required=True, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     common(p)
@@ -346,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--curve", help="loss-curve CSV path")
-    p.add_argument("--mode", choices=("f32", "f64"), default="f32")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune-sft", help="supervised anomaly fine-tuning")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .contrastive import ContrastiveConfig
 from .data import GeneratorConfig, VocabSpec, default_vocab
 from .model import ModelConfig, PretrainConfig
-from .sft import AnomalyHeadConfig, SamplerConfig, SftConfig
+from .sft import AnomalyHeadConfig, SftConfig
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS", "ConfigError"]
 
@@ -66,6 +66,18 @@ DEFAULTS = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether JSON ``value`` has the type of ``default``, an int, a float or a
+    list of them: a bool is not a number, and an int may stand for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, int)
+
+
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in given.items():
@@ -75,6 +87,9 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path + key!r} must be an object")
             out[key] = _merge(defaults[key], value, path + key + ".")
+        elif not _fits(defaults[key], value):
+            raise ConfigError(f"config key {path + key!r} must have the JSON type of its "
+                              f"default {json.dumps(defaults[key])}, got {json.dumps(value)}")
         else:
             out[key] = value
     return out
@@ -115,11 +130,10 @@ class RunConfig:
 
     def sft_config(self) -> SftConfig:
         s = self.raw["sft"]
-        sampler = SamplerConfig(batch_size=s["batch_size"],
-                                pos_fraction=s["pos_fraction"], seed=self.seed)
         return SftConfig(epochs=s["epochs"], lr=s["lr"],
                          backbone_lr_mult=s["backbone_lr_mult"],
-                         seed=self.seed, sampler=sampler)
+                         batch_size=s["batch_size"], pos_fraction=s["pos_fraction"],
+                         seed=self.seed)
 
     def contrastive_config(self) -> ContrastiveConfig:
         c = self.raw["contrastive"]

@@ -24,24 +24,23 @@ __all__ = [
 
 
 def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
-                cfg: ModelConfig, mode: str = "eval",
-                rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Sequence embeddings: hidden state at each last non-pad position: [N, d_model]."""
+                cfg: ModelConfig, rng: Optional[np.random.Generator] = None) -> nm.Tensor:
+    """Sequence embeddings: hidden state at each last non-pad position: [N, d_model].
+    Dropout runs iff ``rng`` is given."""
     batch = encode_batch(id_arrays, params, cfg)
-    h = causal_forward(batch.x, params, cfg, mode=mode, rng=rng)
+    h = causal_forward(batch.x, params, cfg, rng)
     last = np.arange(len(batch.lengths)) * (cfg.t_max + 1) + batch.lengths
     return nm.take_rows(h, last)
 
 
 def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                   seq: BehaviorSequence, mode: str = "eval",
+                   seq: BehaviorSequence,
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Embedding of one sequence's most recent ``t_max`` events; train mode
-    keeps dropout active so views differ. In eval mode it is the same bits as
-    the sequence's row of any ``embed_batch`` call."""
+    """Embedding of one sequence's most recent ``t_max`` events; with an rng,
+    dropout runs so views differ. Without one it is the same bits as the
+    sequence's row of any ``embed_batch`` call without one."""
     ids = ids_array(seq)[-cfg.t_max:]
-    return nm.reshape(embed_batch([ids], params, cfg, mode=mode, rng=rng),
-                      (cfg.d_model,))
+    return nm.reshape(embed_batch([ids], params, cfg, rng), (cfg.d_model,))
 
 
 def cosine_matrix(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
@@ -86,6 +85,8 @@ class ContrastiveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"contrastive.steps must be >= 1, got {self.steps}")
         if self.batch_size < 2:
             raise ValueError(f"contrastive batch_size must be >= 2: InfoNCE needs "
                              f"in-batch negatives, got {self.batch_size}")
@@ -110,8 +111,8 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
         rng_b = child_rng(cfg.seed, "cl-view-b", step)
 
         def loss_fn() -> nm.Tensor:
-            v = embed_batch(ids, backbone, model_cfg, mode="train", rng=rng_a)
-            v_plus = embed_batch(ids, backbone, model_cfg, mode="train", rng=rng_b)
+            v = embed_batch(ids, backbone, model_cfg, rng_a)
+            v_plus = embed_batch(ids, backbone, model_cfg, rng_b)
             return infonce_loss(v, v_plus, cfg.tau)
 
         curve.append((step, opt.minimize(loss_fn)))

@@ -175,6 +175,8 @@ class GeneratorConfig:
     vocab: VocabSpec = field(default_factory=default_vocab)
 
     def __post_init__(self):
+        if self.n_personas < 1:
+            raise ValueError(f"data.n_personas must be >= 1, got {self.n_personas}")
         if abs(sum(self.class_mix) - 1.0) > 1e-9:
             raise ValueError("class_mix probabilities must sum to 1")
         if not 0.0 <= self.fraud_fraction <= 1.0:

@@ -65,6 +65,8 @@ class ModelConfig:
             raise ValueError(f"sum(d_k)={sum(self.d_k)} must equal d_model={self.d_model}")
         if len(self.d_k) != len(self.cardinalities):
             raise ValueError("d_k and cardinalities must have equal length")
+        if self.n_heads < 1:
+            raise ValueError(f"model.n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.t_max < 2:
@@ -199,17 +201,14 @@ def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
 
 
 def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                   mode: str = "eval",
                    rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Pre-norm causal self-attention blocks over [B * R, d_model] rows.
 
     The rows are B sequences of R = t_max + 1 rows each, as ``encode_batch``
     lays them out. Attention runs per sequence and head under one shared
     R x R causal mask, so a row sees only the earlier rows of its own sequence.
+    Dropout runs iff ``rng`` is given (training); ``rng=None`` is evaluation.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
     n, r = x.data.shape[0], cfg.t_max + 1
     if n % r:
         raise nm.DimensionError(f"{n} rows do not split into sequences of t_max + 1 = {r}")
@@ -226,12 +225,12 @@ def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
         probs = nm.softmax_rows(nm.add_const(scores, mask))
         att = nm.matmul(nm.merge_heads(nm.matmul(probs, v)), params[f"{pre}.attn.wo"],
                         params[f"{pre}.attn.bo"])
-        att = nm.dropout(att, cfg.dropout, rng, train)
+        att = nm.dropout(att, cfg.dropout, rng)
         x = nm.add(x, att)
         h2 = nm.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
         m = nm.relu(nm.matmul(h2, params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"]))
         m = nm.matmul(m, params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"])
-        m = nm.dropout(m, cfg.dropout, rng, train)
+        m = nm.dropout(m, cfg.dropout, rng)
         x = nm.add(x, m)
     return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
 
@@ -265,12 +264,14 @@ def reconstruction_loss(logits: Sequence[nm.Tensor], targets: np.ndarray,
     return nm.scale(nm.add_n(terms), 1.0 / d)
 
 
-def batch_reconstruction_loss(batch: EncodedBatch, params: Dict[str, nm.Tensor],
-                              cfg: ModelConfig, mode: str = "train",
+def batch_reconstruction_loss(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
+                              cfg: ModelConfig,
                               rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Forward + next-event loss for an encoded batch: row t of a sequence
-    (BOS first) predicts its event t, and only rows before its length count."""
-    h = causal_forward(batch.x, params, cfg, mode=mode, rng=rng)
+    """Encode + forward + next-event loss for a batch of [T_i, D] id arrays:
+    row t of a sequence (BOS first) predicts its event t, and only rows
+    before its length count."""
+    batch = encode_batch(id_arrays, params, cfg)
+    h = causal_forward(batch.x, params, cfg, rng)
     logits = reconstruct_logits(h, params, cfg)
     targets = np.pad(batch.ids, ((0, 0), (0, 1), (0, 0))).reshape(-1, cfg.D)
     valid = np.arange(cfg.t_max + 1) < batch.lengths[:, None]
@@ -284,15 +285,20 @@ class PretrainConfig:
     lr: float = 3e-3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"pretrain.steps must be >= 1, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"pretrain.batch_size must be >= 1, got {self.batch_size}")
 
-def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,
-                  train_cfg: PretrainConfig,
-                  dtype=np.float32) -> Tuple[Dict[str, nm.Tensor], List[Tuple[int, float]]]:
+
+def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig, train_cfg: PretrainConfig,
+                  ) -> Tuple[Dict[str, nm.Tensor], List[Tuple[int, float]]]:
     """Next-event pretraining on ``t_max`` windows from fresh parameters;
     returns the parameters and the (step, loss) curve."""
     if not corpus:
         raise ValueError("pretraining corpus is empty")
-    params = init_params(cfg, child_rng(train_cfg.seed, "init"), dtype=dtype)
+    params = init_params(cfg, child_rng(train_cfg.seed, "init"))
     opt = nm.Adam(params, lr=train_cfg.lr)
     batches = shuffled_batches(len(corpus), train_cfg.batch_size, train_cfg.steps,
                                train_cfg.seed, "pretrain-order")
@@ -301,7 +307,6 @@ def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig,
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
         ids = [ids_array(window_sample(corpus[i], cfg.t_max, wrng)) for i in picks]
         drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
-        loss = opt.minimize(lambda: batch_reconstruction_loss(
-            encode_batch(ids, params, cfg), params, cfg, mode="train", rng=drng))
+        loss = opt.minimize(lambda: batch_reconstruction_loss(ids, params, cfg, drng))
         curve.append((step, loss))
     return params, curve

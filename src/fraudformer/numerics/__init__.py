@@ -8,7 +8,7 @@ from .ops import (
     slice_cols, take_rows, normalize_rows, row_diff, reshape,
     concat_rows, sum_all,
 )
-from .optim import Adam, AdamState, NonFiniteGradientError, adam_step
+from .optim import Adam, NonFiniteGradientError
 from .gradcheck import grad_check
 
 __all__ = [
@@ -18,5 +18,5 @@ __all__ = [
     "relu", "layer_norm", "dropout", "softmax_rows",
     "softmax_ce", "conv1d", "max_over_time", "concat_cols", "slice_cols",
     "take_rows", "normalize_rows", "row_diff", "reshape", "concat_rows", "sum_all",
-    "Adam", "AdamState", "NonFiniteGradientError", "adam_step", "grad_check",
+    "Adam", "NonFiniteGradientError", "grad_check",
 ]

@@ -166,14 +166,14 @@ def relu(x: Tensor) -> Tensor:
     return _record(Tensor(np.maximum(x.data, 0)), (x,), lambda g: (g * (x.data > 0),))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then scale+shift."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(f"layer_norm: gain/bias must have shape ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
 
     def grads(g):
@@ -187,18 +187,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(Tensor(xhat * gain.data + bias.data), (x, gain, bias), grads)
 
 
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Zero entries with probability p, rescale survivors by 1/(1-p).
 
-    In eval mode or at p == 0 it is the identity and returns ``x`` itself.
-    The random source is always passed explicitly; there is no ambient RNG.
+    Dropout runs iff an rng is passed: with ``rng=None`` (evaluation) or at
+    p == 0 it is the identity and returns ``x`` itself. There is no ambient RNG.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     mask = mask.astype(x.data.dtype)
     return _record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))

@@ -14,6 +14,9 @@ output is >= 0, every sequence has at least ``min_events`` events and so
 at least one valid position, and a max pool's ties go to the earliest t,
 which is valid. Each sequence's pooled features, and their gradients, are
 therefore those of the sequence run alone.
+
+As in pretraining, dropout (backbone and head) runs iff an rng is passed:
+training passes one per step, scoring passes none.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .model import ModelConfig, causal_forward, encode_batch
 from .rng import child_rng
 
 __all__ = [
-    "AnomalyHeadConfig", "SamplerConfig", "SftConfig",
+    "AnomalyHeadConfig", "SftConfig",
     "init_head_params", "head_features", "batch_class_logits",
     "epoch_batches", "finetune_sft", "score_users",
 ]
@@ -125,40 +128,49 @@ def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
 
 
 def _mlp(features: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tensor],
-         mode: str, rng: Optional[np.random.Generator]) -> nm.Tensor:
-    x = nm.dropout(features, cfg.dropout, rng, mode == "train")
+         rng: Optional[np.random.Generator]) -> nm.Tensor:
+    x = nm.dropout(features, cfg.dropout, rng)
     x = nm.relu(nm.matmul(x, params["head.mlp.w1"], params["head.mlp.b1"]))
     return nm.matmul(x, params["head.mlp.w2"], params["head.mlp.b2"])
 
 
-def batch_class_logits(id_arrays: Sequence[np.ndarray], backbone: Dict[str, nm.Tensor],
+def batch_class_logits(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                        model_cfg: ModelConfig, head_cfg: AnomalyHeadConfig,
-                       head: Dict[str, nm.Tensor], mode: str = "eval",
                        rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes]."""
-    batch = encode_batch(id_arrays, backbone, model_cfg)
-    h = causal_forward(batch.x, backbone, model_cfg, mode=mode, rng=rng)
-    return _mlp(head_features(h, batch.lengths, head_cfg, head), head_cfg, head, mode, rng)
+    """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes].
+
+    ``params`` holds the backbone and the head together."""
+    batch = encode_batch(id_arrays, params, model_cfg)
+    h = causal_forward(batch.x, params, model_cfg, rng)
+    return _mlp(head_features(h, batch.lengths, head_cfg, params), head_cfg, params, rng)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+@dataclass
+class SftConfig:
+    """Training knobs, the imbalance-aware sampler's included: each batch of
+    ``batch_size`` holds ``pos_fraction`` of it in positives."""
+
+    epochs: int = 3
+    lr: float = 1e-3
+    backbone_lr_mult: float = 0.1
     batch_size: int = 32
     pos_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"sft.epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.pos_fraction < 1.0:
-            raise ValueError("pos_fraction must be in (0, 1)")
+            raise ValueError(f"sft.pos_fraction must be in (0, 1), got {self.pos_fraction}")
         if round(self.pos_fraction * self.batch_size) < 1:
-            raise ValueError("batch too small to hold one positive")
+            raise ValueError(f"sft.batch_size {self.batch_size} is too small to hold one positive")
 
     @property
     def pos_per_batch(self) -> int:
         return int(round(self.pos_fraction * self.batch_size))
 
 
-def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SamplerConfig,
+def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SftConfig,
                   epoch: int) -> List[List]:
     """One epoch: each negative exactly once, positives re-drawn with replacement."""
     if not pos_pool or not neg_pool:
@@ -173,19 +185,6 @@ def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SamplerConfig,
         picks = rng.integers(0, len(pos_pool), size=n_pos)
         batches.append([pos_pool[int(i)] for i in picks] + [neg_pool[int(i)] for i in chunk])
     return batches
-
-
-@dataclass
-class SftConfig:
-    epochs: int = 3
-    lr: float = 1e-3
-    backbone_lr_mult: float = 0.1
-    seed: int = 0
-    sampler: SamplerConfig = None  # defaults to SamplerConfig(seed=seed)
-
-    def __post_init__(self):
-        if self.sampler is None:
-            self.sampler = SamplerConfig(seed=self.seed)
 
 
 def _class_label(seq: BehaviorSequence, n_classes: int) -> int:
@@ -214,7 +213,7 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     metrics: List[dict] = []
     for epoch in range(cfg.epochs):
         losses, hits, total = [], 0, 0
-        for batch_seqs in epoch_batches(pos, neg, cfg.sampler, epoch):
+        for batch_seqs in epoch_batches(pos, neg, cfg, epoch):
             wrng = child_rng(cfg.seed, "sft-window", opt.t)
             ids = [ids_array(window_sample(s, model_cfg.t_max, wrng)) for s in batch_seqs]
             labels = np.array([_class_label(s, head_cfg.n_classes) for s in batch_seqs])
@@ -222,8 +221,7 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
 
             def loss_fn() -> nm.Tensor:
                 nonlocal hits
-                logits = batch_class_logits(ids, params, model_cfg, head_cfg, params,
-                                            mode="train", rng=drng)
+                logits = batch_class_logits(ids, params, model_cfg, head_cfg, drng)
                 hits += int((logits.data.argmax(axis=1) == labels).sum())
                 return nm.softmax_ce(logits, labels)
 
@@ -250,7 +248,7 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     users = iter(users)
     while chunk := list(itertools.islice(users, batch_size)):
         ids = [ids_array(s)[-model_cfg.t_max:] for s in chunk]
-        logits = batch_class_logits(ids, params, model_cfg, head_cfg, params, mode="eval")
+        logits = batch_class_logits(ids, params, model_cfg, head_cfg)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)
         probs = e[:, 1] / e.sum(axis=1)

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import numerics as nm
 from .contrastive import infonce_loss
-from .model import (ModelConfig, batch_reconstruction_loss, encode_batch,
-                    init_params)
+from .model import ModelConfig, batch_reconstruction_loss, init_params
 from .rng import child_rng
 from .sft import (AnomalyHeadConfig, batch_class_logits, init_head_params)
 
@@ -24,8 +23,8 @@ TOLERANCE = 1e-4
 F64 = np.float64
 
 
-def _t(rng, *shape, lo=-1.0, hi=1.0) -> nm.Tensor:
-    return nm.Tensor(rng.uniform(lo, hi, size=shape).astype(F64), requires_grad=True)
+def _t(rng, *shape) -> nm.Tensor:
+    return nm.Tensor(rng.uniform(-1.0, 1.0, size=shape).astype(F64), requires_grad=True)
 
 
 def _check_matmul(rng) -> float:
@@ -70,7 +69,7 @@ def _check_dropout(rng) -> float:
 
     def loss():
         drng = np.random.default_rng(1234)  # same mask on every call
-        return nm.sum_all(nm.matmul(nm.dropout(x, 0.3, drng, True), w))
+        return nm.sum_all(nm.matmul(nm.dropout(x, 0.3, drng), w))
 
     return nm.grad_check(loss, [x, w], rng)
 
@@ -88,9 +87,9 @@ def _check_max_pool(rng) -> float:
         lambda: nm.sum_all(nm.reshape(nm.max_over_time(x), (1, 5))), [x], rng)
 
 
-def _tiny_model(rng_label: str, dropout: float = 0.0) -> Tuple[ModelConfig, Dict[str, nm.Tensor]]:
+def _tiny_model(rng_label: str) -> Tuple[ModelConfig, Dict[str, nm.Tensor]]:
     cfg = ModelConfig(cardinalities=(4, 5), d_k=(4, 4), d_model=8,
-                      n_layers=1, n_heads=2, t_max=6, dropout=dropout)
+                      n_layers=1, n_heads=2, t_max=6, dropout=0.0)
     params = init_params(cfg, child_rng(7, rng_label), dtype=F64)
     return cfg, params
 
@@ -100,12 +99,8 @@ def _check_reconstruction(rng) -> float:
     ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
            for t in (4, 3)]
     wiggle = [params[k] for k in sorted(params)]
-
-    def loss():
-        batch = encode_batch(ids, params, cfg)
-        return batch_reconstruction_loss(batch, params, cfg, mode="eval")
-
-    return nm.grad_check(loss, wiggle, rng, n_probes=20)
+    return nm.grad_check(lambda: batch_reconstruction_loss(ids, params, cfg), wiggle, rng,
+                         n_probes=20)
 
 
 def _check_infonce(rng) -> float:
@@ -125,7 +120,7 @@ def _check_sft_pipeline(rng) -> float:
     wiggle = [params[k] for k in sorted(params)]
 
     def loss():
-        logits = batch_class_logits(ids, params, cfg, head_cfg, params, mode="eval")
+        logits = batch_class_logits(ids, params, cfg, head_cfg)
         return nm.softmax_ce(logits, labels)
 
     return nm.grad_check(loss, wiggle, rng, n_probes=20)

@@ -167,8 +167,7 @@ def test_criterion_4_analytic_losses():
     cfg = load_run_config().model_config(gen.vocab)
     params = init_params(cfg, np.random.default_rng(7))
     ids = [ids_array(s) for s in corpus]
-    batch = encode_batch(ids, params, cfg)
-    first = batch_reconstruction_loss(batch, params, cfg, mode="eval").item()
+    first = batch_reconstruction_loss(ids, params, cfg).item()
     floor = np.mean([math.log(v) for v in cfg.cardinalities])
     first_ok = abs(first - floor) / floor < 0.05
 
@@ -348,8 +347,8 @@ def test_criterion_8_contrastive_run():
         for rep in range(3):
             ra = child_rng(123, "eval-view-a", rep)
             rb = child_rng(123, "eval-view-b", rep)
-            va = embed_batch(held_ids, p, cfg, mode="train", rng=ra)
-            vb = embed_batch(held_ids, p, cfg, mode="train", rng=rb)
+            va = embed_batch(held_ids, p, cfg, ra)
+            vb = embed_batch(held_ids, p, cfg, rb)
             losses.append(infonce_loss(va, vb, 0.05).item())
             aligns.append(mean_alignment(va.data, vb.data))
         return float(np.mean(losses)), float(np.mean(aligns))

@@ -1,6 +1,7 @@
 """Run configuration merging and CLI subcommands."""
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 
 from fraudformer.cli import build_parser, run_subcommand
 from fraudformer.config import ConfigError, DEFAULTS, load_run_config
+from fraudformer.contrastive import ContrastiveConfig
+from fraudformer.data import GeneratorConfig
+from fraudformer.model import ModelConfig, PretrainConfig
+from fraudformer.sft import AnomalyHeadConfig, SftConfig
 
 
 # --- config -----------------------------------------------------------------
@@ -51,8 +56,18 @@ def test_every_spec_hyperparameter_is_named():
     cfg = load_run_config()
     assert cfg.head_config().kernel_sizes == (2, 3, 5)
     assert cfg.sft_config().backbone_lr_mult == 0.1
-    assert cfg.sft_config().sampler.pos_fraction == 0.25
+    assert cfg.sft_config().pos_fraction == 0.25
     assert cfg.contrastive_config().tau == 0.05
+
+
+def test_settable_value_count():
+    """A run's settable values are the config leaves plus the config
+    dataclasses' fields. A change that adds or removes one moves this pin."""
+    def leaves(d):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
+    classes = (GeneratorConfig, ModelConfig, PretrainConfig, AnomalyHeadConfig,
+               SftConfig, ContrastiveConfig)
+    assert leaves(DEFAULTS) + sum(len(dataclasses.fields(c)) for c in classes) == 64
 
 
 # --- CLI --------------------------------------------------------------------
@@ -71,9 +86,12 @@ def write_cfg(tmp_path, extra=None):
 
 
 def test_cli_bad_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["no-such-command"])
-    assert exc.value.code == 2
+    # Training is float32 only, so pretrain has no precision flag.
+    for argv in (["no-such-command"],
+                 ["pretrain", "--data", "d", "--vocab", "v", "--out", "o", "--mode", "f64"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_help_renders_for_every_subcommand(capsys):
@@ -255,6 +273,32 @@ def test_cli_finetune_cl_rejects_batch_of_one(scoring_run, tmp_path, capsys):
                            "--checkpoint", str(scoring_run["pre"]), "--out", str(out)]) == 1
     assert "batch_size must be >= 2" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("data.n_personas", 0, "gen-data"),
+    ("model.n_heads", 0, "pretrain"),
+    ("model.dropout", "0.1", "pretrain"),
+    ("pretrain.steps", 0, "pretrain"),
+    ("pretrain.steps", 1.5, "pretrain"),
+    ("pretrain.steps", True, "pretrain"),
+    ("pretrain.batch_size", 0, "pretrain"),
+    ("sft.epochs", 0, "finetune-sft"),
+    ("sft.kernel_sizes", [2, 3.5], "finetune-sft"),
+    ("contrastive.steps", 0, "finetune-cl"),
+])
+def test_cli_bad_config_value_names_its_key(scoring_run, tmp_path, capsys, key, value, command):
+    section, leaf = key.split(".")
+    cfgp = write_cfg(tmp_path, {section: {leaf: value}})
+    inputs = ["--data", str(scoring_run["data"]), "--vocab", str(scoring_run["vocab"])]
+    if command.startswith("finetune"):
+        inputs += ["--checkpoint", str(scoring_run["pre"])]
+    out = tmp_path / "out"
+    argv = [command, "--config", cfgp, *(inputs if command != "gen-data" else []),
+            "--out", str(out)]
+    assert run_subcommand(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,ckpt", [("score", "sft"), ("embed", "pre")])

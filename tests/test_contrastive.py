@@ -105,10 +105,8 @@ def test_embed_sequence_eval_deterministic(tiny_corpus):
 def test_embed_sequence_dropout_views_differ(tiny_corpus):
     cfg = tiny_model_config(dropout=0.2)
     params = f64_params(cfg)
-    a = embed_sequence(params, cfg, tiny_corpus[0], mode="train",
-                       rng=np.random.default_rng(1)).data
-    b = embed_sequence(params, cfg, tiny_corpus[0], mode="train",
-                       rng=np.random.default_rng(2)).data
+    a = embed_sequence(params, cfg, tiny_corpus[0], np.random.default_rng(1)).data
+    b = embed_sequence(params, cfg, tiny_corpus[0], np.random.default_rng(2)).data
     cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos < 1.0 - 1e-9
 
@@ -116,8 +114,7 @@ def test_embed_sequence_dropout_views_differ(tiny_corpus):
 def test_embed_sequence_dropout_zero_equals_eval(tiny_corpus):
     cfg = tiny_model_config(dropout=0.0)
     params = f64_params(cfg)
-    tr = embed_sequence(params, cfg, tiny_corpus[1], mode="train",
-                        rng=np.random.default_rng(0)).data
+    tr = embed_sequence(params, cfg, tiny_corpus[1], np.random.default_rng(0)).data
     ev = embed_sequence(params, cfg, tiny_corpus[1]).data
     np.testing.assert_array_equal(tr, ev)
 

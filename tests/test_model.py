@@ -194,8 +194,7 @@ def test_embedding_gradient_flows_from_both_paths():
     ids = np.array([[1, 2], [3, 4], [2, 3]])
 
     def loss_fn():
-        batch = encode_batch([ids], params, cfg)
-        return batch_reconstruction_loss(batch, params, cfg, mode="eval")
+        return batch_reconstruction_loss([ids], params, cfg)
 
     err = grad_check(loss_fn, [params["embed.0"], params["embed.1"]],
                      np.random.default_rng(0), n_probes=20)
@@ -340,9 +339,7 @@ def test_batch_loss_ignores_padding():
     long = make_sequence(rng, TINY_VOCAB, 7, "b")
 
     def batch_loss(seqs):
-        arrays = [ids_array(s) for s in seqs]
-        enc = encode_batch(arrays, params, cfg)
-        return batch_reconstruction_loss(enc, params, cfg, mode="eval").item()
+        return batch_reconstruction_loss([ids_array(s) for s in seqs], params, cfg).item()
 
     alone = batch_loss([short, short])
     padded = batch_loss([short, long])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fraudformer import verify
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
-from fraudformer.numerics.optim import Adam, AdamState, NonFiniteGradientError, adam_step
+from fraudformer.numerics.optim import Adam, NonFiniteGradientError
 from fraudformer.numerics.tensor import DimensionError, GradTape, Tensor
 
 
@@ -107,15 +107,15 @@ def test_relu_forward():
 
 def test_dropout_identity_cases():
     x = t64(np.arange(12.0).reshape(3, 4))
-    assert ops.dropout(x, 0.0, np.random.default_rng(0), True) is x
-    assert ops.dropout(x, 0.5, None, False) is x
+    assert ops.dropout(x, 0.0, np.random.default_rng(0)) is x
+    assert ops.dropout(x, 0.5, None) is x
 
 
 def test_dropout_mask_seed_behaviour():
     x = t64(np.ones((8, 8)))
-    a = ops.dropout(x, 0.5, np.random.default_rng(3), True).data
-    b = ops.dropout(x, 0.5, np.random.default_rng(3), True).data
-    c = ops.dropout(x, 0.5, np.random.default_rng(4), True).data
+    a = ops.dropout(x, 0.5, np.random.default_rng(3)).data
+    b = ops.dropout(x, 0.5, np.random.default_rng(3)).data
+    c = ops.dropout(x, 0.5, np.random.default_rng(4)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     survivors = a[a != 0]
@@ -124,7 +124,7 @@ def test_dropout_mask_seed_behaviour():
 
 def test_dropout_rejects_p_one():
     with pytest.raises(ValueError):
-        ops.dropout(t64(np.ones(3)), 1.0, np.random.default_rng(0), True)
+        ops.dropout(t64(np.ones(3)), 1.0, np.random.default_rng(0))
 
 
 def test_conv1d_identity_kernel():
@@ -384,8 +384,8 @@ def test_gradients_match_finite_differences(name):
         wiggle = [x]
     else:  # dropout: fix the mask so the loss is deterministic
         x = rand64(rng, 6, 6)
-        fn = lambda: ops.sum_all(ops.mul(ops.dropout(x, 0.4, np.random.default_rng(99), True),
-                                         ops.dropout(x, 0.4, np.random.default_rng(99), True)))
+        fn = lambda: ops.sum_all(ops.mul(ops.dropout(x, 0.4, np.random.default_rng(99)),
+                                         ops.dropout(x, 0.4, np.random.default_rng(99))))
         wiggle = [x]
     err = grad_check(fn, wiggle, np.random.default_rng(0), n_probes=20)
     assert err < 1e-4, f"{name}: max rel err {err:.3e}"
@@ -430,24 +430,44 @@ def test_matmul_gradient_property(seed):
 
 # --- optimizer ---------------------------------------------------------------
 
+def _adam_with_grads(lr, **grads):
+    """An Adam over one float64 parameter per keyword, each starting at 1 and
+    holding the given gradient."""
+    params = {name: Tensor(np.ones(np.shape(g)), requires_grad=True) for name, g in grads.items()}
+    for name, g in grads.items():
+        params[name].ensure_grad()[...] = g
+    return Adam(params, lr=lr), params
+
+
 def test_adam_zero_gradient_leaves_param():
-    p = np.array([1.0, -2.0])
-    st_ = AdamState(p)
-    adam_step(p, np.zeros(2), st_, t=1)
-    np.testing.assert_array_equal(p, [1.0, -2.0])
+    opt, params = _adam_with_grads(1e-3, w=np.zeros(2))
+    opt.step()
+    np.testing.assert_array_equal(params["w"].data, [1.0, 1.0])
 
 
 def test_adam_first_step_magnitude():
     # g=1: mhat=1, vhat=1 after bias correction, so the step is ~lr.
-    p = np.array([0.0])
-    adam_step(p, np.ones(1), AdamState(p), lr=1e-3, t=1)
-    assert abs(p[0] + 1e-3) < 1e-8
+    opt, params = _adam_with_grads(1e-3, w=np.ones(1))
+    opt.step()
+    assert abs(params["w"].data[0] - (1.0 - 1e-3)) < 1e-8
 
 
 def test_adam_non_finite_gradient_names_param():
-    p = np.zeros(2)
+    opt, _ = _adam_with_grads(1e-3, w1=np.array([np.nan, 0.0]))
     with pytest.raises(NonFiniteGradientError, match="w1"):
-        adam_step(p, np.array([np.nan, 0.0]), AdamState(p), name="w1")
+        opt.step()
+
+
+def test_adam_steps_all_parameters_or_none():
+    # "a" sorts before "b": its update must not run when b's gradient is bad.
+    opt, params = _adam_with_grads(0.1, a=np.ones(1), b=np.array([np.nan, 0.0]))
+    with pytest.raises(NonFiniteGradientError, match="'b'"):
+        opt.step()
+    for p in params.values():
+        np.testing.assert_array_equal(p.data, np.ones_like(p.data))
+    assert opt.t == 0
+    for moments in (opt.m, opt.v):
+        assert all(not m.any() for m in moments.values())
 
 
 def test_adam_determinism():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
 from fraudformer.numerics.tensor import DimensionError, GradTape, Tensor
-from fraudformer.sft import (AnomalyHeadConfig, SamplerConfig, SequenceTooShortError,
+from fraudformer.sft import (AnomalyHeadConfig, SequenceTooShortError,
                              SftConfig, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
                              init_head_params, score_users)
@@ -129,13 +129,13 @@ def test_batched_head_equals_each_sequence_alone(seed, lengths):
     batch = encode_batch(ids, params, cfg)
     h = causal_forward(batch.x, params, cfg)
     feats = head_features(h, batch.lengths, head_cfg, params).data
-    logits = batch_class_logits(ids, params, cfg, head_cfg, params).data
+    logits = batch_class_logits(ids, params, cfg, head_cfg).data
     r = cfg.t_max + 1
     for b, t in enumerate(lengths):
         rows = Tensor(h.data[b * r:b * r + t + 1])
         alone = head_features(rows, np.array([t]), head_cfg, params).data[0]
         np.testing.assert_allclose(feats[b], alone, rtol=0, atol=1e-12)
-        alone = batch_class_logits([ids[b]], params, cfg, head_cfg, params).data[0]
+        alone = batch_class_logits([ids[b]], params, cfg, head_cfg).data[0]
         np.testing.assert_allclose(logits[b], alone, rtol=0, atol=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_head_config_rejects_tiny_kernels():
 # --- sampler --------------------------------------------------------------------
 
 def test_sampler_exact_positive_count():
-    cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=0)
+    cfg = SftConfig(batch_size=8, pos_fraction=0.25, seed=0)
     assert cfg.pos_per_batch == 2
     batches = epoch_batches(list("AB"), list(range(30)), cfg, epoch=0)
     for b in batches:
@@ -155,7 +155,7 @@ def test_sampler_exact_positive_count():
 
 
 def test_sampler_negative_epoch_coverage():
-    cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=1)
+    cfg = SftConfig(batch_size=8, pos_fraction=0.25, seed=1)
     negs = list(range(25))
     seen = [x for b in epoch_batches(["p"], negs, cfg, epoch=3)
             for x in b if isinstance(x, int)]
@@ -163,7 +163,7 @@ def test_sampler_negative_epoch_coverage():
 
 
 def test_sampler_positive_repetition_pigeonhole():
-    cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=2)
+    cfg = SftConfig(batch_size=8, pos_fraction=0.25, seed=2)
     # 300 negatives at 6 per batch: two consecutive epochs of 50 batches.
     batches = [b for epoch in range(2)
                for b in epoch_batches(["x", "y", "z"], list(range(300)), cfg, epoch)]
@@ -174,7 +174,7 @@ def test_sampler_positive_repetition_pigeonhole():
 
 
 def test_sampler_determinism_and_epoch_variation():
-    cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=5)
+    cfg = SftConfig(batch_size=8, pos_fraction=0.25, seed=5)
     a = epoch_batches(["p", "q"], list(range(40)), cfg, epoch=0)
     b = epoch_batches(["p", "q"], list(range(40)), cfg, epoch=0)
     c = epoch_batches(["p", "q"], list(range(40)), cfg, epoch=1)
@@ -183,7 +183,7 @@ def test_sampler_determinism_and_epoch_variation():
 
 
 def test_sampler_rejects_empty_pools():
-    cfg = SamplerConfig(batch_size=8, pos_fraction=0.25, seed=0)
+    cfg = SftConfig(batch_size=8, pos_fraction=0.25, seed=0)
     with pytest.raises(ValueError):
         epoch_batches([], [1], cfg, 0)
     with pytest.raises(ValueError):
@@ -192,9 +192,9 @@ def test_sampler_rejects_empty_pools():
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(batch_size=8, pos_fraction=0.0)
+        SftConfig(batch_size=8, pos_fraction=0.0)
     with pytest.raises(ValueError):
-        SamplerConfig(batch_size=16, pos_fraction=0.01)  # rounds to zero positives
+        SftConfig(batch_size=16, pos_fraction=0.01)  # rounds to zero positives
 
 
 # --- fine-tuning -----------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_finetune_freeze_multiplier_zero(small_planted_corpus):
     before = {k: v.data.copy() for k, v in backbone.items()}
     head_cfg = AnomalyHeadConfig(filters=4, hidden=8)
     sft = SftConfig(epochs=1, lr=1e-3, backbone_lr_mult=0.0, seed=0,
-                    sampler=SamplerConfig(batch_size=8, pos_fraction=0.25, seed=0))
+                    batch_size=8, pos_fraction=0.25)
     params, _ = finetune_sft(backbone, mc, small_planted_corpus[:60], head_cfg, sft)
     for k, v in before.items():
         np.testing.assert_array_equal(params[k].data, v)
@@ -223,7 +223,7 @@ def test_finetune_toy_accuracy_and_determinism(small_planted_corpus):
                                t_max=16, dropout=0.1)
     head_cfg = AnomalyHeadConfig(filters=8, hidden=16)
     sft = SftConfig(epochs=20, lr=1e-3, backbone_lr_mult=0.1, seed=0,
-                    sampler=SamplerConfig(batch_size=16, pos_fraction=0.25, seed=0))
+                    batch_size=16, pos_fraction=0.25)
 
     def run():
         backbone = init_params(mc, np.random.default_rng(1))
@@ -252,7 +252,7 @@ def test_finetune_rejects_label_out_of_range(small_planted_corpus):
                            anomaly_onset=1)
     head_cfg = AnomalyHeadConfig(n_classes=2)
     backbone = init_params(mc, np.random.default_rng(0))
-    sft = SftConfig(epochs=1, seed=0, sampler=SamplerConfig(batch_size=8, seed=0))
+    sft = SftConfig(epochs=1, seed=0, batch_size=8)
     with pytest.raises(Exception, match="label"):
         # Multiclass labels are fine for a 9-class head but not the binary one
         # unless collapsed; a 9-class head with label >= n_classes must fail.
@@ -360,7 +360,7 @@ def test_multiclass_head_trains(small_planted_corpus):
     head_cfg = AnomalyHeadConfig(filters=8, hidden=16, n_classes=9)
     backbone = init_params(mc, np.random.default_rng(4))
     sft = SftConfig(epochs=2, lr=1e-3, seed=0,
-                    sampler=SamplerConfig(batch_size=16, pos_fraction=0.25, seed=0))
+                    batch_size=16, pos_fraction=0.25)
     _, metrics = finetune_sft(backbone, mc, small_planted_corpus, head_cfg, sft)
     assert metrics[-1]["loss"] < metrics[0]["loss"]
 
@@ -377,7 +377,7 @@ def test_sft_pipeline_gradient_check():
     labels = np.array([1, 0])
 
     def loss_fn():
-        logits = batch_class_logits(ids, params, cfg, head_cfg, params, mode="eval")
+        logits = batch_class_logits(ids, params, cfg, head_cfg)
         return ops.softmax_ce(logits, labels)
 
     names = ["embed.0", "layer0.attn.wv", "head.conv2.w", "head.mlp.w1"]

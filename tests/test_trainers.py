@@ -1,4 +1,5 @@
-"""The step and the sampler shared by pretraining, SFT and contrastive tuning."""
+"""The step, the sampler and the dropout rng shared by pretraining, SFT and
+contrastive tuning."""
 
 import dataclasses
 import tracemalloc
@@ -9,11 +10,13 @@ import pytest
 import fraudformer.contrastive as cl
 from fraudformer.config import load_run_config
 from fraudformer.contrastive import ContrastiveConfig, finetune_contrastive
-from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
-from fraudformer.model import ModelConfig, PretrainConfig, init_params, pretrain_loop
+from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus, ids_array
+from fraudformer.model import (ModelConfig, PretrainConfig, batch_reconstruction_loss,
+                               init_params, pretrain_loop)
 from fraudformer.numerics.optim import Adam
 from fraudformer.rng import child_rng, shuffled_batches
-from fraudformer.sft import AnomalyHeadConfig, SamplerConfig, SftConfig, finetune_sft
+from fraudformer.sft import (AnomalyHeadConfig, SftConfig, batch_class_logits, finetune_sft,
+                             init_head_params)
 
 
 def test_shuffled_batches_walk_one_permutation_per_epoch():
@@ -35,7 +38,7 @@ TRAINERS = {
     "sft": lambda corpus: finetune_sft(
         init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
         AnomalyHeadConfig(filters=4, hidden=8),
-        SftConfig(epochs=1, sampler=SamplerConfig(batch_size=8))),
+        SftConfig(epochs=1, batch_size=8)),
     "contrastive": lambda corpus: finetune_contrastive(
         init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
         ContrastiveConfig(batch_size=8, steps=2)),
@@ -89,3 +92,38 @@ def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
         tracemalloc.stop()
     [forward] = held
     assert peak <= 1.25 * forward, f"peak {peak / 1e6:.1f} MB, forward {forward / 1e6:.1f} MB"
+
+
+# Each forward that takes a dropout rng, as (model, head, params, batch, rng) -> Tensor.
+RNG_FORWARDS = {
+    "batch_reconstruction_loss": lambda model, head, params, seqs, rng:
+        batch_reconstruction_loss([ids_array(s) for s in seqs], params, model, rng),
+    "batch_class_logits": lambda model, head, params, seqs, rng:
+        batch_class_logits([ids_array(s) for s in seqs], params, model, head, rng),
+    "embed_batch": lambda model, head, params, seqs, rng:
+        cl.embed_batch([ids_array(s) for s in seqs], params, model, rng),
+    "embed_sequence": lambda model, head, params, seqs, rng:
+        cl.embed_sequence(params, model, seqs[0], rng),
+}
+
+
+@pytest.mark.parametrize("forward", sorted(RNG_FORWARDS))
+def test_dropout_runs_iff_an_rng_is_passed(forward, small_planted_corpus):
+    """At dropout 0.5, no rng gives the bits of dropout 0; one rng gives the
+    same bits twice, and not those of no rng."""
+    head = AnomalyHeadConfig(filters=4, hidden=8, dropout=0.5)
+    on = (dataclasses.replace(MODEL, dropout=0.5), head)
+    off = (dataclasses.replace(MODEL, dropout=0.0), dataclasses.replace(head, dropout=0.0))
+    params = init_params(MODEL, np.random.default_rng(0))
+    params.update(init_head_params(head, MODEL.d_model, np.random.default_rng(1)))
+    seqs = small_planted_corpus[:4]
+
+    def run(cfgs, rng):
+        return RNG_FORWARDS[forward](*cfgs, params, seqs, rng).data
+
+    evaluated = run(on, None)
+    np.testing.assert_array_equal(evaluated, run(off, None))
+    np.testing.assert_array_equal(evaluated, run(off, child_rng(0, "test-dropout")))
+    trained = run(on, child_rng(0, "test-dropout"))
+    np.testing.assert_array_equal(trained, run(on, child_rng(0, "test-dropout")))
+    assert not np.array_equal(trained, evaluated)
