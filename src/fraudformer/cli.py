@@ -73,9 +73,9 @@ def _write_corpus(path, vocab_path, corpus: Sequence[BehaviorSequence], vocab) -
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args)
-    corpus = generate_corpus(cfg.generator_config())
-    _write_corpus(args.out, _vocab_path(args), corpus, cfg.generator_config().vocab)
+    gen_cfg = _load_cfg(args).generator_config()
+    corpus = generate_corpus(gen_cfg)
+    _write_corpus(args.out, _vocab_path(args), corpus, gen_cfg.vocab)
     print(f"wrote {len(corpus)} sequences to {args.out}")
     return 0
 

@@ -6,6 +6,33 @@ appears in real events.
 Sequences carry an optional fraud class label (0 = normal, 1..8 = planted
 fraud archetypes) and, for synthetic data, the onset index where the
 fraud regime begins.
+
+The generator steps users forward in blocks of ``GEN_BLOCK``, one event
+index at a time for the whole block; the Markov draw of a step is one
+compare-and-sum over the personas' padded cumulative tables. User u draws
+from its own stream ``child_rng(seed, "gen-user", u)``, and the corpus
+stays the same only while every user makes these draws in this order:
+
+1. persona ``integers(n_personas)``, length ``integers(t_min, t_max + 1)``,
+   the fraud coin ``random() < fraud_fraction``;
+2. a fraud user only: class ``1 + choice(8, p=class_mix)``, then onset
+   ``integers(max(1, t_len // 4), 3 * t_len // 4 + 1)``;
+3. the ``(t_len, D)`` uniforms ``random((t_len, D))`` that drive the Markov
+   draws, which take nothing else from the stream;
+4. per event, in order, if the vocab has ``amount_bucket``: the log-amount
+   ``normal(log_mu[persona], 1.0)``; from the onset on, a fraud user then
+   draws the anomaly coin ``random() < 0.6`` (not at the onset itself, which
+   is always anomalous) and, for an anomalous event, its regime's own draws:
+   merchant_roulette ``random() < 0.5`` and, when that fails,
+   ``integers(V - 1)``; night_activity ``integers(min(4, V - 1))``;
+   region_hop ``integers(min(3, V - 1))`` (V the dimension's cardinality).
+
+Consecutive draws of one kind may be made in one call: ``normal(size=n)``
+gives the values of n scalar calls and leaves the stream where they would.
+A new regime keeps this order and appends its own draws after it. A regime
+that only changes which tables a user walks (an in-band regime that switches
+persona at the onset, say) needs no draws of its own: it joins the lockstep
+step with a persona index per step, not a scalar path beside it.
 """
 
 from __future__ import annotations
@@ -27,6 +54,7 @@ __all__ = [
 ]
 
 PAD_ID = 0
+MAX_EVENTS = 4096  # longest sequence a BehaviorSequence holds
 
 # Class 0 is normal; 1..8 are the planted fraud regimes of the generator.
 FRAUD_CLASS_NAMES = (
@@ -61,12 +89,6 @@ class VocabSpec:
     @property
     def cardinalities(self) -> Tuple[int, ...]:
         return tuple(c for _, c in self.dims)
-
-    def index_of(self, name: str) -> Optional[int]:
-        for i, (n, _) in enumerate(self.dims):
-            if n == name:
-                return i
-        return None
 
     def to_json(self) -> dict:
         return {"dims": [{"name": n, "cardinality": c} for n, c in self.dims]}
@@ -112,8 +134,8 @@ class BehaviorSequence:
             raise ValueError(f"sequence {self.user_id!r} needs a 2-D integer ids array")
         if ids.shape[0] == 0:
             raise ValueError(f"sequence {self.user_id!r} has no events")
-        if ids.shape[0] > 4096:
-            raise ValueError(f"sequence {self.user_id!r} exceeds 4096 events")
+        if ids.shape[0] > MAX_EVENTS:
+            raise ValueError(f"sequence {self.user_id!r} exceeds {MAX_EVENTS} events")
         if self.anomaly_onset is not None:
             if not 0 <= self.anomaly_onset < ids.shape[0]:
                 raise ValueError(f"anomaly_onset {self.anomaly_onset} outside sequence")
@@ -175,16 +197,31 @@ class GeneratorConfig:
     vocab: VocabSpec = field(default_factory=default_vocab)
 
     def __post_init__(self):
+        if self.n_users < 1:
+            raise ValueError(f"data.n_users must be >= 1, got {self.n_users}")
         if self.n_personas < 1:
             raise ValueError(f"data.n_personas must be >= 1, got {self.n_personas}")
-        if abs(sum(self.class_mix) - 1.0) > 1e-9:
-            raise ValueError("class_mix probabilities must sum to 1")
         if not 0.0 <= self.fraud_fraction <= 1.0:
-            raise ValueError("fraud_fraction must be in [0, 1]")
+            raise ValueError(f"data.fraud_fraction must be in [0, 1], got {self.fraud_fraction}")
         if len(self.class_mix) != len(FRAUD_CLASS_NAMES) - 1:
-            raise ValueError(f"class_mix needs {len(FRAUD_CLASS_NAMES) - 1} entries")
-        if self.t_min < 1 or self.t_max < self.t_min:
-            raise ValueError("need 1 <= t_min <= t_max")
+            raise ValueError(f"data.class_mix needs {len(FRAUD_CLASS_NAMES) - 1} entries")
+        if min(self.class_mix) < 0:
+            raise ValueError(f"data.class_mix entries must be >= 0, got {list(self.class_mix)}")
+        if abs(sum(self.class_mix) - 1.0) > 1e-9:
+            raise ValueError("data.class_mix probabilities must sum to 1")
+        if not 1 <= self.t_min <= self.t_max:
+            raise ValueError(f"need 1 <= data.t_min <= data.t_max, got "
+                             f"t_min {self.t_min} and t_max {self.t_max}")
+        if self.t_max > MAX_EVENTS:
+            raise ValueError(f"data.t_max must be <= {MAX_EVENTS}, got {self.t_max}")
+        if self.fraud_fraction > 0 and self.t_min < 2:
+            raise ValueError("data.t_min must be >= 2 when data.fraud_fraction > 0: "
+                             "a fraud onset needs a normal event before it")
+
+
+# Users generated together, one event index at a time. A module constant, so
+# that the block's arrays, not n_users, bound the generator's working memory.
+GEN_BLOCK = 256
 
 
 class _Personas:
@@ -194,120 +231,180 @@ class _Personas:
     of every non-amount dimension (and the night band of hour_of_day) is
     reserved for the planted fraud regimes, so anomalies are rare events a
     sequence model can actually pick up at desk scale.
+
+    ``cum`` holds every cumulative row, [personas, D, K + 1, K] flattened to
+    rows: row ``(persona * D + d) * (K + 1) + r`` is the next token's
+    distribution after the band's token r, and r = K is the first event's
+    distribution. Rows are padded to
+    the largest support K with +inf, which never counts as <= u, so
+    ``_draw`` over a padded row equals ``searchsorted`` over the row's own
+    support. The amount dimension has no chain: its rows are all padding,
+    and its column is filled from the amounts afterwards.
     """
 
     def __init__(self, cfg: GeneratorConfig):
         rng = child_rng(cfg.seed, "gen-personas")
         vocab = cfg.vocab
-        self.amount_dim = vocab.index_of("amount_bucket")
-        hour_dim = vocab.index_of("hour_of_day")
-        self.offsets: list[int] = []
-        self.supports: list[int] = []
+        self.dim = {name: d for d, (name, _) in enumerate(vocab.dims)}
+        self.amount_dim = self.dim.get("amount_bucket")
+        hour_dim = self.dim.get("hour_of_day")
+        offsets, supports = [], []
         for d, (_, card) in enumerate(vocab.dims):
             if d == hour_dim and card >= 10:
                 offset = 5  # tokens 1..4 = night hours, fraud-only
             else:
                 offset = 1
-            self.offsets.append(offset)
-            self.supports.append(max(1, card - 1 - offset))  # excludes top token
-        self.init_cum: list[list[Optional[np.ndarray]]] = []
-        self.trans_cum: list[list[Optional[np.ndarray]]] = []
+            offsets.append(offset)
+            supports.append(max(1, card - 1 - offset))  # excludes top token
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.tops = np.array(supports, dtype=np.int64) - 1
+        P, D, K = cfg.n_personas, vocab.D, max(supports)
+        cum = np.full((P, D, K + 1, K), np.inf)
         self.log_mu: list[float] = []
-        for _ in range(cfg.n_personas):
-            inits, trans = [], []
-            for d in range(vocab.D):
+        for p in range(P):
+            for d in range(D):
                 if d == self.amount_dim:
-                    inits.append(None)
-                    trans.append(None)
                     continue
-                k = self.supports[d]
-                inits.append(np.cumsum(rng.dirichlet(np.full(k, 0.4))))
+                k = supports[d]
+                cum[p, d, K, :k] = np.cumsum(rng.dirichlet(np.full(k, 0.4)))
                 rows = rng.dirichlet(np.full(k, 0.3), size=k)
-                trans.append(np.cumsum(rows, axis=1))
-            self.init_cum.append(inits)
-            self.trans_cum.append(trans)
+                cum[p, d, :k, :k] = np.cumsum(rows, axis=1)
             self.log_mu.append(float(rng.uniform(2.0, 6.0)))
+        self.K = K
+        self.cum = cum.reshape(P * D * (K + 1), K)
 
 
-def _draw(cum: np.ndarray, u: float, offset: int) -> int:
-    return offset + min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
+def _draw(cum: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per row of cumulative entries, the number of entries <= u, clamped to
+    ``top``: ``min(searchsorted(row, u, side="right"), top)`` for every row
+    at once. ``cum`` is [..., K] and ``u`` and ``top`` broadcast to [...]."""
+    return np.minimum((cum <= u[..., None]).sum(axis=-1), top)
 
 
-def _generate_user(cfg: GeneratorConfig, personas: _Personas, user_index: int) -> BehaviorSequence:
+@dataclass
+class _UserStart:
+    """A user's draws made before the first event (see the module docstring)."""
+
+    index: int
+    rng: np.random.Generator
+    persona: int
+    t_len: int
+    label: int
+    onset: Optional[int]
+    uniforms: np.ndarray      # [t_len, D]
+    log_amounts: np.ndarray   # the events before the onset (all, for a normal user)
+
+
+def _start_user(cfg: GeneratorConfig, personas: _Personas, user_index: int) -> _UserStart:
     rng = child_rng(cfg.seed, "gen-user", user_index)
-    vocab = cfg.vocab
     persona = int(rng.integers(cfg.n_personas))
     t_len = int(rng.integers(cfg.t_min, cfg.t_max + 1))
     label, onset = 0, None
     if rng.random() < cfg.fraud_fraction:
         label = 1 + int(rng.choice(len(cfg.class_mix), p=np.asarray(cfg.class_mix)))
         onset = int(rng.integers(max(1, t_len // 4), 3 * t_len // 4 + 1))
+    uniforms = rng.random((t_len, cfg.vocab.D))
+    # Before the onset an event draws only its amount, so these draws are one
+    # call: normal(size=n) gives the values of n scalar calls, in order.
+    n_normal = 0 if personas.amount_dim is None else (t_len if onset is None else onset)
+    log_amounts = rng.normal(personas.log_mu[persona], 1.0, size=n_normal)
+    return _UserStart(user_index, rng, persona, t_len, label, onset, uniforms, log_amounts)
 
-    amt_d = personas.amount_dim
-    hour_d = vocab.index_of("hour_of_day")
-    chan_d = vocab.index_of("channel")
-    merch_d = vocab.index_of("merchant_category")
-    dev_d = vocab.index_of("device_type")
-    gap_d = vocab.index_of("time_gap_bucket")
-    reg_d = vocab.index_of("region")
-    cards = vocab.cardinalities
 
-    uniforms = rng.random((t_len, vocab.D))
-    ids = np.zeros((t_len, vocab.D), dtype=np.int64)
-    for t in range(t_len):
-        attrs = ids[t]
-        for d in range(vocab.D):
-            if d == amt_d:
+def _fraud_event(attrs: np.ndarray, label: int, rng: np.random.Generator,
+                 dim: dict, cards: Tuple[int, ...]) -> float:
+    """Overwrite one anomalous event's tokens in place; return its amount factor.
+
+    Regimes reach for the reserved top tokens / night band, which never occur
+    in normal traffic. Every regime also trips the shared marker dimensions:
+    anomalous activity happens out-of-schedule (top day/action tokens).
+    """
+    for marker in ("day_of_week", "action_type"):
+        if marker in dim:
+            attrs[dim[marker]] = cards[dim[marker]] - 1
+    name = FRAUD_CLASS_NAMES[label]
+    gap_d = dim.get("time_gap_bucket")
+    if name == "amount_spike":
+        return 1000.0
+    if name == "burst_rate" and gap_d is not None:
+        attrs[gap_d] = cards[gap_d] - 1
+    elif name == "channel_shift" and "channel" in dim:
+        d = dim["channel"]
+        attrs[d] = cards[d] - 1
+    elif name == "merchant_roulette" and "merchant_category" in dim:
+        d = dim["merchant_category"]
+        attrs[d] = cards[d] - 1 if rng.random() < 0.5 else 1 + int(rng.integers(cards[d] - 1))
+    elif name == "night_activity" and "hour_of_day" in dim:
+        d = dim["hour_of_day"]
+        attrs[d] = 1 + int(rng.integers(min(4, cards[d] - 1)))
+    elif name == "region_hop" and "region" in dim:
+        d = dim["region"]
+        attrs[d] = cards[d] - 1 - int(rng.integers(min(3, cards[d] - 1)))
+    elif name == "device_swap":
+        if "device_type" in dim:
+            d = dim["device_type"]
+            attrs[d] = cards[d] - 1
+        return 10.0
+    elif name == "mixed_regime":
+        if gap_d is not None:
+            attrs[gap_d] = cards[gap_d] - 1
+        return 30.0
+    return 1.0
+
+
+def _generate_block(cfg: GeneratorConfig, personas: _Personas,
+                    users: range) -> List[BehaviorSequence]:
+    """The given users, stepped forward together one event index at a time."""
+    cards = cfg.vocab.cardinalities
+    D, K, amt_d = cfg.vocab.D, personas.K, personas.amount_dim
+    starts = [_start_user(cfg, personas, u) for u in users]
+    B, T = len(starts), max(s.t_len for s in starts)
+    uniforms = np.zeros((B, T, D))
+    log_amounts = np.zeros((B, T))
+    factors = np.ones((B, T))
+    for b, s in enumerate(starts):
+        uniforms[b, :s.t_len] = s.uniforms
+        log_amounts[b, :len(s.log_amounts)] = s.log_amounts
+    frauds = [(b, s) for b, s in enumerate(starts) if s.onset is not None]
+    # First table row of each (user, dimension).
+    rows = (np.array([s.persona for s in starts])[:, None] * D + np.arange(D)) * (K + 1)
+    prev = np.full((B, D), K)  # the first event's row
+    ids = np.zeros((B, T, D), dtype=np.int64)
+    # Past a user's length the steps draw from padding and are cut off below.
+    for t in range(T):
+        cum = personas.cum[rows + prev]
+        ids[:, t] = personas.offsets + _draw(cum, uniforms[:, t], personas.tops)
+        # A fraud user's draws at this event, before the next step reads it.
+        # Anomalous events are interleaved with normal ones (always at the
+        # onset, then ~60% of the time) so the fraud phase alternates rather
+        # than settling on a constant.
+        for b, s in frauds:
+            if not s.onset <= t < s.t_len:
                 continue
-            cum = (personas.init_cum if t == 0 else personas.trans_cum)[persona][d]
-            off = personas.offsets[d]
-            # regime-forced tokens can sit outside the normal band; clamp
-            row = cum if t == 0 else cum[min(max(int(ids[t - 1, d]) - off, 0),
-                                             personas.supports[d] - 1)]
-            attrs[d] = _draw(row, uniforms[t, d], off)
-        amount = math.exp(rng.normal(personas.log_mu[persona], 1.0)) if amt_d is not None else 0.0
-        if onset is not None and t >= onset and (t == onset or rng.random() < 0.6):
-            # Regimes reach for the reserved top tokens / night band, which
-            # never occur in normal traffic. Anomalous events are interleaved
-            # with normal ones (always at the onset, then ~60% of the time) so
-            # the fraud phase alternates rather than settling on a constant.
-            # Every regime also trips the shared marker dimensions: anomalous
-            # activity happens out-of-schedule (top day/action tokens).
-            name = FRAUD_CLASS_NAMES[label]
-            for marker in ("day_of_week", "action_type"):
-                md = vocab.index_of(marker)
-                if md is not None:
-                    attrs[md] = cards[md] - 1
-            if name == "amount_spike":
-                amount *= 1000.0
-            elif name == "burst_rate" and gap_d is not None:
-                attrs[gap_d] = cards[gap_d] - 1
-            elif name == "channel_shift" and chan_d is not None:
-                attrs[chan_d] = cards[chan_d] - 1
-            elif name == "merchant_roulette" and merch_d is not None:
-                attrs[merch_d] = (cards[merch_d] - 1 if rng.random() < 0.5
-                                  else 1 + int(rng.integers(cards[merch_d] - 1)))
-            elif name == "night_activity" and hour_d is not None:
-                attrs[hour_d] = 1 + int(rng.integers(min(4, cards[hour_d] - 1)))
-            elif name == "region_hop" and reg_d is not None:
-                attrs[reg_d] = cards[reg_d] - 1 - int(rng.integers(min(3, cards[reg_d] - 1)))
-            elif name == "device_swap":
-                if dev_d is not None:
-                    attrs[dev_d] = cards[dev_d] - 1
-                amount *= 10.0
-            elif name == "mixed_regime":
-                amount *= 30.0
-                if gap_d is not None:
-                    attrs[gap_d] = cards[gap_d] - 1
+            if amt_d is not None:
+                log_amounts[b, t] = s.rng.normal(personas.log_mu[s.persona], 1.0)
+            if t == s.onset or s.rng.random() < 0.6:
+                factors[b, t] = _fraud_event(ids[b, t], s.label, s.rng, personas.dim, cards)
+        # Regime-forced tokens can sit outside the normal band; clamp.
+        prev = np.clip(ids[:, t] - personas.offsets, 0, personas.tops)
+    out = []
+    for b, s in enumerate(starts):
+        seq_ids = ids[b, :s.t_len].copy()
         if amt_d is not None:
-            attrs[amt_d] = bucketize_amount(amount, cards[amt_d])
-    return BehaviorSequence(f"u{user_index:07d}", ids, label, onset)
+            seq_ids[:, amt_d] = [
+                bucketize_amount(math.exp(z) * f, cards[amt_d])
+                for z, f in zip(log_amounts[b, :s.t_len].tolist(), factors[b, :s.t_len].tolist())]
+        out.append(BehaviorSequence(f"u{s.index:07d}", seq_ids, s.label, s.onset))
+    return out
 
 
 def generate_corpus(cfg: GeneratorConfig) -> List[BehaviorSequence]:
     """Synthesize the full corpus; fully determined by cfg.seed."""
     personas = _Personas(cfg)
-    return [_generate_user(cfg, personas, u) for u in range(cfg.n_users)]
+    corpus: List[BehaviorSequence] = []
+    for lo in range(0, cfg.n_users, GEN_BLOCK):
+        corpus += _generate_block(cfg, personas, range(lo, min(lo + GEN_BLOCK, cfg.n_users)))
+    return corpus
 
 
 # --- JSONL corpus I/O ------------------------------------------------------

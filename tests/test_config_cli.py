@@ -286,6 +286,12 @@ def test_cli_finetune_cl_rejects_batch_of_one(scoring_run, tmp_path, capsys):
     ("sft.epochs", 0, "finetune-sft"),
     ("sft.kernel_sizes", [2, 3.5], "finetune-sft"),
     ("contrastive.steps", 0, "finetune-cl"),
+    ("data.n_users", 0, "gen-data"),
+    ("data.t_max", 5000, "gen-data"),
+    ("data.class_mix", [-0.125, 0.375] + [0.125] * 6, "gen-data"),
+    ("data.t_min", 1, "gen-data"),  # the default fraud_fraction is above 0
+    ("data.t_min", 0, "gen-data"),
+    ("data.t_max", 8, "gen-data"),  # below the default t_min
 ])
 def test_cli_bad_config_value_names_its_key(scoring_run, tmp_path, capsys, key, value, command):
     section, leaf = key.split(".")

@@ -1,5 +1,7 @@
 """Data model, tokenizer, window sampling, generator, and JSONL I/O."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fraudformer import data as data_mod
 from fraudformer.data import (PAD_ID, BehaviorSequence, GeneratorConfig,
                               SchemaError, VocabSpec, bucketize_amount,
                               default_vocab, generate_corpus, ids_array,
@@ -154,6 +157,88 @@ def test_generator_label_onset_consistency():
     for seq in generate_corpus(cfg):
         assert (seq.label != 0) == (seq.anomaly_onset is not None)
         assert len(seq) >= cfg.t_min
+
+
+# Digests of write_jsonl(generate_corpus(cfg)), recorded from the per-user
+# scalar generator that the lockstep one replaced. They also pin numpy's
+# Generator streams: a numpy upgrade that changes them fails here first.
+ONE_CLASS_MIX = tuple(1.0 if c == 3 else 0.0 for c in range(8))  # merchant_roulette
+ODD_VOCAB = VocabSpec((("channel", 6), ("hour_of_day", 7), ("flag", 2),
+                       ("merchant_category", 12), ("day_of_week", 8), ("region", 5)))
+PINNED_CORPORA = {
+    "fraud0": (dict(seed=0, n_users=300, fraud_fraction=0.0, t_min=8, t_max=40),
+               "f2451b2d0b86c28a2d83b3adcc8444442354b5ad40d52a5f3fe33424b3ec6824"),
+    "fraud005": (dict(seed=3, n_users=300, fraud_fraction=0.05),
+                 "8dfc0223ed60314feda9600b8b901c61eabf82bfbe714c1e132dda9b98943bea"),
+    "fraud03": (dict(seed=5, n_users=200, fraud_fraction=0.3, t_min=6, t_max=24),
+                "3dab876b99ae7c390b58866183412dff71e15c240fd82decc04353d33bc3f5bd"),
+    "fraud1": (dict(seed=11, n_users=150, fraud_fraction=1.0, t_min=10, t_max=30),
+               "89ab02d2b76e062108d2924bf44ecc29aa94c16193e3b9140d60abcf8a0f40de"),
+    "one_class": (dict(seed=7, n_users=120, fraud_fraction=1.0, class_mix=ONE_CLASS_MIX,
+                       t_min=12, t_max=20),
+                  "d9e097164c6ca96f5a4933701f5059ce561ee77321aa4f7638e6cf66a1141903"),
+    # No amount dimension, a 2-token dimension, an hour dimension too small
+    # for a night band, and sequences down to 2 events.
+    "short_odd_vocab": (dict(seed=2, n_users=100, fraud_fraction=0.5, t_min=2, t_max=9,
+                             n_personas=3, vocab=ODD_VOCAB),
+                        "93a9888c43cccf1f04c0c9f5b7a9562c3bffb189e99b36df5ea0298eeca3b857"),
+}
+
+
+def corpus_digest(cfg):
+    buf = io.StringIO()
+    write_jsonl(buf, generate_corpus(cfg))
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_CORPORA))
+def test_generator_output_is_pinned(name):
+    kw, digest = PINNED_CORPORA[name]
+    assert corpus_digest(GeneratorConfig(**kw)) == digest
+
+
+@pytest.mark.parametrize("name", ["fraud03", "short_odd_vocab"])
+def test_generator_output_does_not_depend_on_the_block(monkeypatch, name):
+    kw, digest = PINNED_CORPORA[name]
+    monkeypatch.setattr(data_mod, "GEN_BLOCK", 7)
+    assert corpus_digest(GeneratorConfig(**kw)) == digest
+
+
+def test_normal_of_size_n_is_n_scalar_draws():
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    block = a.normal(3.5, 1.0, size=37)
+    scalars = [b.normal(3.5, 1.0) for _ in range(37)]
+    assert block.tolist() == scalars
+    assert a.random() == b.random()  # the stream is left in the same state
+
+
+def reference_draw(cum_row, u, top):
+    return min(int(np.searchsorted(cum_row, u, side="right")), top)
+
+
+def test_compare_and_sum_draw_is_searchsorted():
+    rng = np.random.default_rng(0)
+    K = 6
+    cum = np.full((200, K), np.inf)
+    tops = rng.integers(0, K, size=200)
+    for r, top in enumerate(tops):
+        cum[r, :top + 1] = np.cumsum(rng.dirichlet(np.full(top + 1, 0.3)))
+    # Ties: half the draws land exactly on a cumulative entry of their row.
+    u = rng.random(200)
+    ties = np.flatnonzero(rng.random(200) < 0.5)
+    u[ties] = [cum[r, rng.integers(tops[r] + 1)] for r in ties]
+    got = data_mod._draw(cum, u, tops)
+    assert got.tolist() == [reference_draw(cum[r, :top + 1], u[r], top)
+                            for r, top in enumerate(tops)]
+
+
+def test_compare_and_sum_draw_clamps_a_short_row():
+    # A row whose last cumulative value is below 1: searchsorted past it
+    # returns the support size, and the clamp keeps the last token.
+    cum = np.array([0.25, 0.5, 0.75, np.inf])
+    u = np.array([0.1, 0.25, 0.75, 0.8, 0.999])
+    got = data_mod._draw(np.tile(cum, (5, 1)), u, np.full(5, 2))
+    assert got.tolist() == [reference_draw(cum[:3], x, 2) for x in u] == [0, 1, 2, 2, 2]
 
 
 # --- JSONL I/O ----------------------------------------------------------------
