@@ -16,11 +16,12 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 import numpy as np
 
+from .config import from_json, to_json
 from .model import ModelConfig
 from .numerics import Tensor
 from .sft import AnomalyHeadConfig
@@ -78,8 +79,8 @@ def save_checkpoint(path, params: Dict[str, Tensor], model: ModelConfig,
                     head: Optional[AnomalyHeadConfig] = None,
                     kind: str = "pretrain", meta: Optional[dict] = None) -> None:
     config = {
-        "model": model.to_json(),
-        "head": head.to_json() if head is not None else None,
+        "model": to_json(model),
+        "head": to_json(head) if head is not None else None,
         "kind": kind,
         "meta": meta or {},
     }
@@ -104,6 +105,16 @@ def save_checkpoint(path, params: Dict[str, Tensor], model: ModelConfig,
     with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
+
+
+def _config(path, cls, obj: dict):
+    """``cls`` from a checkpoint's JSON, which must hold each of its fields and
+    nothing else: a missing key must not quietly take its default."""
+    names = {f.name for f in fields(cls)}
+    if set(obj) != names:
+        raise CheckpointError(f"{path}: {cls.__name__} keys unknown {sorted(set(obj) - names)}, "
+                              f"missing {sorted(names - set(obj))}; re-run the stage that wrote it")
+    return from_json(cls, obj)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -138,7 +149,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ShapeError(f"{path}: blob for {entry['name']!r} does not match shape {shape}")
         arr = np.frombuffer(data[start:end], dtype="<f4").reshape(shape)
         params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-    model = ModelConfig.from_json(config["model"])
-    head = AnomalyHeadConfig.from_json(config["head"]) if config["head"] else None
+    model = _config(path, ModelConfig, config["model"])
+    head = _config(path, AnomalyHeadConfig, config["head"]) if config["head"] else None
     return Checkpoint(params=params, model=model, head=head,
                       kind=config["kind"], meta=config.get("meta", {}))

@@ -31,9 +31,11 @@ __all__ = ["main", "run_subcommand", "pipeline_smoke"]
 EMBED_CHUNK = 16
 
 
-def _load_cfg(args) -> RunConfig:
-    cfg = load_run_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
+def _load_cfg(args, fallback: Optional[dict] = None) -> RunConfig:
+    """The ``--config`` file's run config, or else ``fallback``'s, with any
+    ``--seed`` override."""
+    cfg = load_run_config(args.config or fallback)
+    if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg
 
@@ -126,10 +128,11 @@ def _head_readable(corpus: Iterable[BehaviorSequence], model_cfg: ModelConfig,
 def cmd_finetune_sft(args) -> int:
     cfg = _load_cfg(args)
     ckpt = _load_checkpoint(args.checkpoint, "pretrain")
+    head_cfg = cfg.head_config()
+    head_cfg.check_window(ckpt.model.t_max, "the checkpoint's model.t_max")
     vocab = read_vocab(args.vocab)
     _check_vocab(ckpt.model, vocab)
     corpus = read_jsonl(args.data, vocab.cardinalities)
-    head_cfg = cfg.head_config()
     corpus = list(_head_readable(corpus, ckpt.model, head_cfg))
     params, metrics = sft_mod.finetune_sft(ckpt.params, ckpt.model, corpus,
                                            head_cfg, cfg.sft_config())
@@ -210,7 +213,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradient_suite(seed=args.seed or 0)
+    results = gradient_suite(seed=args.seed)
     worst = 0.0
     for name, err in results:
         status = "ok" if err < TOLERANCE else "FAIL"
@@ -222,7 +225,7 @@ def cmd_gradcheck(args) -> int:
 # --- end-to-end smoke ------------------------------------------------------
 
 SMOKE_OVERRIDES = {
-    "data": {"n_users": 12000, "fraud_fraction": 0.01, "t_min": 32, "t_max": 32},
+    "data": {"n_users": 12000, "t_min": 32, "t_max": 32},
     "pretrain": {"steps": 600},
     "sft": {"epochs": 2},
 }
@@ -312,10 +315,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
 
 
 def cmd_smoke(args) -> int:
-    cfg = load_run_config(args.config) if args.config else load_run_config(SMOKE_OVERRIDES)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    _, ok = pipeline_smoke(cfg, args.out or "smoke-run")
+    _, ok = pipeline_smoke(_load_cfg(args, SMOKE_OVERRIDES), args.out or "smoke-run")
     return 0 if ok else 1
 
 

@@ -3,66 +3,62 @@
 One document drives every pipeline stage; unknown keys are rejected so an
 experiment record is exactly what ran. The single global seed fans out to
 per-component streams via fixed labels (see rng.child_rng).
+
+Each setting's default is declared once, on its config dataclass's field:
+``DEFAULTS`` is read off those fields, and a section is built as
+``cls(**section)``. Loading builds every section, so a bad value fails,
+naming its key, before any stage reads a file.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .contrastive import ContrastiveConfig
 from .data import GeneratorConfig, VocabSpec, default_vocab
 from .model import ModelConfig, PretrainConfig
 from .sft import AnomalyHeadConfig, SftConfig
 
-__all__ = ["RunConfig", "load_run_config", "DEFAULTS", "ConfigError"]
+__all__ = ["RunConfig", "load_run_config", "DEFAULTS", "ConfigError", "to_json", "from_json"]
 
 
 class ConfigError(ValueError):
     pass
 
 
+# A section's settings are the defaulted fields of its classes, less the
+# seed: that is one top-level setting, shared by every stage.
+SECTIONS = {
+    "data": (GeneratorConfig,),
+    "model": (ModelConfig,),
+    "pretrain": (PretrainConfig,),
+    "sft": (SftConfig, AnomalyHeadConfig),
+    "contrastive": (ContrastiveConfig,),
+}
+
+
+def _json(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def to_json(cfg) -> dict:
+    """A config dataclass's fields as a JSON object, tuples as lists."""
+    return {f.name: _json(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def from_json(make, obj: dict, **fixed):
+    """``make(**obj, **fixed)``, with the JSON object's lists as tuples."""
+    return make(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}, **fixed)
+
+
 DEFAULTS = {
-    "seed": 0,
-    "data": {
-        "n_users": 1000,
-        "n_personas": 4,
-        "fraud_fraction": 0.01,
-        "class_mix": [0.125] * 8,
-        "t_min": 16,
-        "t_max": 64,
-    },
-    "model": {
-        "d_model": 64,
-        "n_layers": 2,
-        "n_heads": 2,
-        "t_max": 32,
-        "dropout": 0.1,
-    },
-    "pretrain": {
-        "steps": 400,
-        "batch_size": 32,
-        "lr": 3e-3,
-    },
-    "sft": {
-        "epochs": 3,
-        "lr": 1e-3,
-        "backbone_lr_mult": 0.1,
-        "batch_size": 32,
-        "pos_fraction": 0.25,
-        "kernel_sizes": [2, 3, 5],
-        "filters": 32,
-        "hidden": 64,
-        "n_classes": 2,
-        "dropout": 0.1,
-    },
-    "contrastive": {
-        "tau": 0.05,
-        "batch_size": 64,
-        "steps": 200,
-        "lr": 1e-3,
-    },
+    "seed": GeneratorConfig.seed,
+    **{name: {f.name: _json(f.default) for cls in classes for f in fields(cls)
+              if f.default is not MISSING and f.name != "seed"}
+       for name, classes in SECTIONS.items()},
 }
 
 
@@ -95,55 +91,56 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A merged config document. Making one builds every section once, so a
+    bad value fails here as a ConfigError that names its key."""
+
     raw: dict
+
+    def __post_init__(self):
+        try:
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
+            self.generator_config()
+            self.pretrain_config()
+            self.sft_config()
+            self.contrastive_config()
+            t_max = self.model_config(default_vocab()).t_max
+            self.head_config().check_window(t_max, "model.t_max")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
+
+    def _build(self, section: str, cls, make=None, **fixed):
+        """``cls``, made by ``make`` from ``fixed`` and its fields' keys in the section."""
+        names = {f.name for f in fields(cls)}
+        return from_json(make or cls, {k: v for k, v in self.raw[section].items()
+                                       if k in names}, **fixed)
 
     def generator_config(self) -> GeneratorConfig:
-        d = self.raw["data"]
-        return GeneratorConfig(
-            n_users=d["n_users"], n_personas=d["n_personas"],
-            fraud_fraction=d["fraud_fraction"], class_mix=tuple(d["class_mix"]),
-            seed=self.seed, t_min=d["t_min"], t_max=d["t_max"],
-            vocab=default_vocab())
+        return self._build("data", GeneratorConfig, seed=self.seed)
 
     def model_config(self, vocab: VocabSpec) -> ModelConfig:
-        m = self.raw["model"]
-        return ModelConfig.for_vocab(vocab, d_model=m["d_model"],
-                                     n_layers=m["n_layers"], n_heads=m["n_heads"],
-                                     t_max=m["t_max"], dropout=m["dropout"])
+        return self._build("model", ModelConfig, functools.partial(ModelConfig.for_vocab, vocab))
 
     def pretrain_config(self) -> PretrainConfig:
-        p = self.raw["pretrain"]
-        return PretrainConfig(steps=p["steps"], batch_size=p["batch_size"],
-                              lr=p["lr"], seed=self.seed)
+        return self._build("pretrain", PretrainConfig, seed=self.seed)
 
     def head_config(self) -> AnomalyHeadConfig:
-        s = self.raw["sft"]
-        return AnomalyHeadConfig(kernel_sizes=tuple(s["kernel_sizes"]),
-                                 filters=s["filters"], hidden=s["hidden"],
-                                 n_classes=s["n_classes"], dropout=s["dropout"])
+        return self._build("sft", AnomalyHeadConfig)
 
     def sft_config(self) -> SftConfig:
-        s = self.raw["sft"]
-        return SftConfig(epochs=s["epochs"], lr=s["lr"],
-                         backbone_lr_mult=s["backbone_lr_mult"],
-                         batch_size=s["batch_size"], pos_fraction=s["pos_fraction"],
-                         seed=self.seed)
+        return self._build("sft", SftConfig, seed=self.seed)
 
     def contrastive_config(self) -> ContrastiveConfig:
-        c = self.raw["contrastive"]
-        return ContrastiveConfig(tau=c["tau"], batch_size=c["batch_size"],
-                                 steps=c["steps"], lr=c["lr"], seed=self.seed)
+        return self._build("contrastive", ContrastiveConfig, seed=self.seed)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        raw = copy.deepcopy(self.raw)
-        raw["seed"] = int(seed)
-        return RunConfig(raw)
+        return RunConfig({**self.raw, "seed": int(seed)})
 
 
 def load_run_config(source=None) -> RunConfig:
@@ -155,4 +152,6 @@ def load_run_config(source=None) -> RunConfig:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             given = json.load(fh)
+        if not isinstance(given, dict):
+            raise ConfigError(f"{source}: a run config must be a JSON object")
     return RunConfig(_merge(DEFAULTS, given))

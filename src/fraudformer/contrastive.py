@@ -85,10 +85,12 @@ class ContrastiveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError(f"contrastive.tau must be > 0, got {self.tau}")
         if self.steps < 1:
             raise ValueError(f"contrastive.steps must be >= 1, got {self.steps}")
         if self.batch_size < 2:
-            raise ValueError(f"contrastive batch_size must be >= 2: InfoNCE needs "
+            raise ValueError(f"contrastive.batch_size must be >= 2: InfoNCE needs "
                              f"in-batch negatives, got {self.batch_size}")
 
 

@@ -36,7 +36,8 @@ def allocate_widths(cardinalities: Sequence[int], d_model: int) -> Tuple[int, ..
     weights = [max(1, math.ceil(math.log2(v))) for v in cardinalities]
     total = sum(weights)
     if d_model < len(weights):
-        raise ValueError(f"d_model={d_model} too small for {len(weights)} dimensions")
+        raise ValueError(f"model.d_model must be >= {len(weights)}, one column per "
+                         f"dimension, got {d_model}")
     raw = [d_model * w / total for w in weights]
     widths = [max(1, int(r)) for r in raw]
     remainders = sorted(range(len(raw)), key=lambda i: (raw[i] - int(raw[i]), i), reverse=True)
@@ -54,10 +55,10 @@ def allocate_widths(cardinalities: Sequence[int], d_model: int) -> Tuple[int, ..
 class ModelConfig:
     cardinalities: Tuple[int, ...]
     d_k: Tuple[int, ...]
-    d_model: int
-    n_layers: int
-    n_heads: int
-    t_max: int
+    d_model: int = 64
+    n_layers: int = 2
+    n_heads: int = 2
+    t_max: int = 32
     dropout: float = 0.1
 
     def __post_init__(self):
@@ -65,14 +66,17 @@ class ModelConfig:
             raise ValueError(f"sum(d_k)={sum(self.d_k)} must equal d_model={self.d_model}")
         if len(self.d_k) != len(self.cardinalities):
             raise ValueError("d_k and cardinalities must have equal length")
+        if self.n_layers < 1:
+            raise ValueError(f"model.n_layers must be >= 1, got {self.n_layers}")
         if self.n_heads < 1:
             raise ValueError(f"model.n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+            raise ValueError(f"model.d_model {self.d_model} is not divisible by "
+                             f"model.n_heads {self.n_heads}")
         if self.t_max < 2:
-            raise ValueError("t_max must be >= 2")
+            raise ValueError(f"model.t_max must be >= 2, got {self.t_max}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"model.dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def D(self) -> int:
@@ -88,21 +92,9 @@ class ModelConfig:
 
     @classmethod
     def for_vocab(cls, vocab: VocabSpec, d_model: int, n_layers: int,
-                  n_heads: int, t_max: int, dropout: float = 0.1) -> "ModelConfig":
+                  n_heads: int, t_max: int, dropout: float) -> "ModelConfig":
         return cls(vocab.cardinalities, allocate_widths(vocab.cardinalities, d_model),
                    d_model, n_layers, n_heads, t_max, dropout)
-
-    def to_json(self) -> dict:
-        return {
-            "cardinalities": list(self.cardinalities), "d_k": list(self.d_k),
-            "d_model": self.d_model, "n_layers": self.n_layers,
-            "n_heads": self.n_heads, "t_max": self.t_max, "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(tuple(obj["cardinalities"]), tuple(obj["d_k"]), obj["d_model"],
-                   obj["n_layers"], obj["n_heads"], obj["t_max"], obj["dropout"])
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:

@@ -4,7 +4,7 @@ convolutional anomaly head, trained with imbalance-aware sampling.
 The backbone hidden sequence is first-order differenced to strip slow
 trend, then each kernel size extracts local anomaly evidence which a
 global max pool makes length-independent; a small MLP maps the pooled
-features to class logits.
+features to two logits, normal and anomalous.
 
 The head runs once per batch, on the padded [B, R, d] hidden block: one
 gather of the event rows, one ``row_diff``, and per kernel size k one
@@ -49,14 +49,26 @@ class AnomalyHeadConfig:
     kernel_sizes: Tuple[int, ...] = (2, 3, 5)
     filters: int = 32
     hidden: int = 64
-    n_classes: int = 2
     dropout: float = 0.1
 
     def __post_init__(self):
-        if min(self.kernel_sizes) < 2:
-            raise ValueError("kernel sizes must be >= 2")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        sizes = self.kernel_sizes
+        if not sizes or min(sizes) < 2 or len(set(sizes)) < len(sizes):
+            raise ValueError(f"sft.kernel_sizes must be one or more distinct sizes >= 2, "
+                             f"got {list(sizes)}")
+        if self.filters < 1:
+            raise ValueError(f"sft.filters must be >= 1, got {self.filters}")
+        if self.hidden < 1:
+            raise ValueError(f"sft.hidden must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"sft.dropout must be in [0, 1), got {self.dropout}")
+
+    def check_window(self, t_max: int, owner: str) -> None:
+        """Raise unless a window of ``t_max`` events, ``owner``'s, is long
+        enough for the head: its largest kernel plus one."""
+        if self.min_events > t_max:
+            raise ValueError(f"sft.kernel_sizes: the largest kernel, {self.min_diff_len}, needs "
+                             f"windows of {self.min_events} events, more than {owner} {t_max}")
 
     @property
     def min_diff_len(self) -> int:
@@ -70,15 +82,6 @@ class AnomalyHeadConfig:
     @property
     def feature_width(self) -> int:
         return len(self.kernel_sizes) * self.filters
-
-    def to_json(self) -> dict:
-        return {"kernel_sizes": list(self.kernel_sizes), "filters": self.filters,
-                "hidden": self.hidden, "n_classes": self.n_classes, "dropout": self.dropout}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AnomalyHeadConfig":
-        return cls(tuple(obj["kernel_sizes"]), obj["filters"], obj["hidden"],
-                   obj["n_classes"], obj["dropout"])
 
 
 def init_head_params(cfg: AnomalyHeadConfig, d_model: int,
@@ -96,9 +99,9 @@ def init_head_params(cfg: AnomalyHeadConfig, d_model: int,
         requires_grad=True)
     p["head.mlp.b1"] = nm.Tensor(np.zeros(cfg.hidden, dtype=dtype), requires_grad=True)
     p["head.mlp.w2"] = nm.Tensor(
-        rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden), size=(cfg.hidden, cfg.n_classes)).astype(dtype),
+        rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden), size=(cfg.hidden, 2)).astype(dtype),
         requires_grad=True)
-    p["head.mlp.b2"] = nm.Tensor(np.zeros(cfg.n_classes, dtype=dtype), requires_grad=True)
+    p["head.mlp.b2"] = nm.Tensor(np.zeros(2, dtype=dtype), requires_grad=True)
     return p
 
 
@@ -137,7 +140,7 @@ def _mlp(features: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tenso
 def batch_class_logits(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                        model_cfg: ModelConfig, head_cfg: AnomalyHeadConfig,
                        rng: Optional[np.random.Generator] = None) -> nm.Tensor:
-    """Full pipeline for a batch: embed -> causal -> diff -> head: [B, n_classes].
+    """Full pipeline for a batch: embed -> causal -> diff -> head: [B, 2].
 
     ``params`` holds the backbone and the head together."""
     batch = encode_batch(id_arrays, params, model_cfg)
@@ -162,8 +165,9 @@ class SftConfig:
             raise ValueError(f"sft.epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.pos_fraction < 1.0:
             raise ValueError(f"sft.pos_fraction must be in (0, 1), got {self.pos_fraction}")
-        if round(self.pos_fraction * self.batch_size) < 1:
-            raise ValueError(f"sft.batch_size {self.batch_size} is too small to hold one positive")
+        if not 1 <= self.pos_per_batch < self.batch_size:
+            raise ValueError(f"sft.batch_size {self.batch_size} at sft.pos_fraction "
+                             f"{self.pos_fraction} must hold one positive and one negative")
 
     @property
     def pos_per_batch(self) -> int:
@@ -187,13 +191,6 @@ def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SftConfig,
     return batches
 
 
-def _class_label(seq: BehaviorSequence, n_classes: int) -> int:
-    label = seq.label if n_classes > 2 else int(seq.label > 0)
-    if label >= n_classes:
-        raise ValueError(f"label {seq.label} of {seq.user_id!r} exceeds n_classes={n_classes}")
-    return label
-
-
 def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                  corpus: Sequence[BehaviorSequence], head_cfg: AnomalyHeadConfig,
                  cfg: SftConfig) -> Tuple[Dict[str, nm.Tensor], List[dict]]:
@@ -204,8 +201,6 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     """
     pos = [s for s in corpus if s.label > 0]
     neg = [s for s in corpus if s.label == 0]
-    for s in corpus:
-        _class_label(s, head_cfg.n_classes)
     params = dict(backbone)
     params.update(init_head_params(head_cfg, model_cfg.d_model, child_rng(cfg.seed, "head-init")))
     mult = {name: cfg.backbone_lr_mult for name in backbone}
@@ -216,7 +211,7 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
         for batch_seqs in epoch_batches(pos, neg, cfg, epoch):
             wrng = child_rng(cfg.seed, "sft-window", opt.t)
             ids = [ids_array(window_sample(s, model_cfg.t_max, wrng)) for s in batch_seqs]
-            labels = np.array([_class_label(s, head_cfg.n_classes) for s in batch_seqs])
+            labels = np.array([int(s.label > 0) for s in batch_seqs])
             drng = child_rng(cfg.seed, "sft-dropout", opt.t)
 
             def loss_fn() -> nm.Tensor:
@@ -242,8 +237,6 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     to ``t_max``, so a score depends only on the checkpoint and that user's
     events, bit for bit: not on corpus order, batch size or batch neighbours.
     """
-    if head_cfg.n_classes != 2:
-        raise ValueError("scoring requires the binary head")
     out = []
     users = iter(users)
     while chunk := list(itertools.islice(users, batch_size)):

@@ -110,8 +110,7 @@ def _check_infonce(rng) -> float:
 
 def _check_sft_pipeline(rng) -> float:
     cfg, params = _tiny_model("gc-sft")
-    head_cfg = AnomalyHeadConfig(kernel_sizes=(2, 3), filters=3, hidden=4,
-                                 n_classes=2, dropout=0.0)
+    head_cfg = AnomalyHeadConfig(kernel_sizes=(2, 3), filters=3, hidden=4, dropout=0.0)
     head = init_head_params(head_cfg, cfg.d_model, child_rng(7, "gc-sft-head"), dtype=F64)
     params = dict(params, **head)
     ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)

@@ -69,3 +69,18 @@ def f64_params(cfg: ModelConfig, seed: int = 7):
     params = init_params(cfg, np.random.default_rng(seed))
     return {k: Tensor(v.data.astype(np.float64), requires_grad=True)
             for k, v in params.items()}
+
+
+def edit_checkpoint_config(path, edit) -> None:
+    """Rewrite the config JSON of the checkpoint at ``path`` through
+    ``edit(config)``, re-sealing its CRC so that only the edit shows."""
+    import json
+    import struct
+    import zlib
+    raw = path.read_bytes()
+    cfg_len = struct.unpack("<Q", raw[8:16])[0]
+    config = json.loads(raw[16:16 + cfg_len])
+    edit(config)
+    cfg2 = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<Q", len(cfg2)) + cfg2 + raw[16 + cfg_len:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))

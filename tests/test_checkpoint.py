@@ -14,7 +14,7 @@ from fraudformer.model import (causal_forward, encode_batch, init_params,
                                reconstruct_logits)
 from fraudformer.numerics.optim import Adam
 from fraudformer.sft import AnomalyHeadConfig
-from tests.conftest import tiny_model_config
+from tests.conftest import edit_checkpoint_config, tiny_model_config
 
 
 def make_ckpt(tmp_path, seed=0, **save_kw):
@@ -77,6 +77,20 @@ def test_head_config_and_meta_survive(tmp_path):
     path, _, _ = make_ckpt(tmp_path, head=head, kind="sft", meta={"step": 7})
     ck = load_checkpoint(path)
     assert ck.head == head and ck.kind == "sft" and ck.meta == {"step": 7}
+
+
+@pytest.mark.parametrize("section,edit,key", [
+    ("head", lambda c: c.update(n_classes=2), "n_classes"),
+    ("model", lambda c: c.update(vocab_size=9), "vocab_size"),
+    ("model", lambda c: c.pop("t_max"), "t_max"),
+], ids=["head-unknown", "model-unknown", "model-missing"])
+def test_config_key_mismatch_names_the_key(tmp_path, section, edit, key):
+    """A config key this version does not read, or one it lacks, fails the
+    load: a missing key must not quietly take its default."""
+    path, _, _ = make_ckpt(tmp_path, head=AnomalyHeadConfig(filters=4, hidden=8), kind="sft")
+    edit_checkpoint_config(path, lambda config: edit(config[section]))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
 
 
 def test_flipped_payload_byte_raises_crc_error(tmp_path):

@@ -3,6 +3,8 @@
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fraudformer.contrastive import ContrastiveConfig
 from fraudformer.data import GeneratorConfig
 from fraudformer.model import ModelConfig, PretrainConfig
 from fraudformer.sft import AnomalyHeadConfig, SftConfig
+from tests.conftest import edit_checkpoint_config
 
 
 # --- config -----------------------------------------------------------------
@@ -43,6 +46,9 @@ def test_unknown_keys_rejected(tmp_path):
     # Pretraining windows are t_max events, as in SFT and contrastive tuning.
     with pytest.raises(ConfigError, match="pretrain.window"):
         load_run_config({"pretrain": {"window": 32}})
+    p.write_text("[]")
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_run_config(p)
 
 
 def test_with_seed_propagates():
@@ -67,7 +73,22 @@ def test_settable_value_count():
         return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
     classes = (GeneratorConfig, ModelConfig, PretrainConfig, AnomalyHeadConfig,
                SftConfig, ContrastiveConfig)
-    assert leaves(DEFAULTS) + sum(len(dataclasses.fields(c)) for c in classes) == 64
+    assert leaves(DEFAULTS) + sum(len(dataclasses.fields(c)) for c in classes) == 62
+
+
+def test_sft_section_classes_share_no_field():
+    """The sft section feeds two classes by field name: a name on both would
+    set two settings from one key."""
+    names = [{f.name for f in dataclasses.fields(c)} for c in (SftConfig, AnomalyHeadConfig)]
+    assert names[0] & names[1] == set()
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = load_run_config(json.loads(example))
+    assert cfg.raw == load_run_config().raw  # the example spells out defaults
 
 
 # --- CLI --------------------------------------------------------------------
@@ -292,10 +313,25 @@ def test_cli_finetune_cl_rejects_batch_of_one(scoring_run, tmp_path, capsys):
     ("data.t_min", 1, "gen-data"),  # the default fraud_fraction is above 0
     ("data.t_min", 0, "gen-data"),
     ("data.t_max", 8, "gen-data"),  # below the default t_min
+    ("sft.kernel_sizes", [], "finetune-sft"),
+    ("sft.kernel_sizes", [1], "finetune-sft"),
+    ("sft.kernel_sizes", [2, 2], "finetune-sft"),  # two sizes, one conv
+    ("sft.kernel_sizes", [2, 32], "finetune-sft"),  # needs 33 events, model.t_max is 32
+    ("sft.filters", 0, "finetune-sft"),
+    ("sft.hidden", 0, "finetune-sft"),
+    # A dict sets several keys of the section: 0.75 of one is one positive, no negative.
+    ("sft.batch_size", {"batch_size": 1, "pos_fraction": 0.75}, "finetune-sft"),
+    ("sft.dropout", 1.0, "finetune-sft"),
+    ("model.dropout", 1.0, "pretrain"),
+    ("model.t_max", 1, "pretrain"),
+    ("model.d_model", 4, "pretrain"),  # fewer columns than dimensions
+    ("model.n_layers", 0, "pretrain"),
+    ("contrastive.tau", 0, "finetune-cl"),
+    ("sft.kernel_sizes", [2, 16], "finetune-sft"),  # fits model.t_max 32, not the checkpoint's 16
 ])
 def test_cli_bad_config_value_names_its_key(scoring_run, tmp_path, capsys, key, value, command):
     section, leaf = key.split(".")
-    cfgp = write_cfg(tmp_path, {section: {leaf: value}})
+    cfgp = write_cfg(tmp_path, {section: value if isinstance(value, dict) else {leaf: value}})
     inputs = ["--data", str(scoring_run["data"]), "--vocab", str(scoring_run["vocab"])]
     if command.startswith("finetune"):
         inputs += ["--checkpoint", str(scoring_run["pre"])]
@@ -304,6 +340,19 @@ def test_cli_bad_config_value_names_its_key(scoring_run, tmp_path, capsys, key, 
             "--out", str(out)]
     assert run_subcommand(argv) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_score_rejects_head_with_n_classes(scoring_run, tmp_path, capsys):
+    """An sft checkpoint from before the head was fixed at two classes."""
+    import shutil
+    old = tmp_path / "old-sft.ckpt"
+    shutil.copy(scoring_run["sft"], old)
+    edit_checkpoint_config(old, lambda config: config["head"].update(n_classes=2))
+    out = tmp_path / "s.csv"
+    assert run_subcommand(["score", "--checkpoint", str(old),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 1
+    assert "n_classes" in capsys.readouterr().err
     assert not out.exists()
 
 

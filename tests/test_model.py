@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraudformer.config import from_json, to_json
 from fraudformer.data import ids_array
 from fraudformer.model import (ModelConfig, PretrainConfig, allocate_widths,
                                batch_reconstruction_loss, causal_forward,
@@ -43,7 +44,7 @@ def test_model_config_validation():
 
 def test_model_config_json_round_trip():
     cfg = tiny_model_config()
-    assert ModelConfig.from_json(cfg.to_json()) == cfg
+    assert from_json(ModelConfig, to_json(cfg)) == cfg
 
 
 # --- embedding ----------------------------------------------------------------
