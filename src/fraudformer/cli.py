@@ -11,7 +11,7 @@ import itertools
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +54,23 @@ def _write_scores(path, scores: Sequence[Tuple[str, float]]) -> None:
             fh.write(f"{uid},{score:.10g}\n")
 
 
-def _read_scores(path) -> List[Tuple[str, float]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
+def _read_scores(path) -> Dict[str, float]:
+    """user_id -> score from a ``score`` CSV. A missing column, a score that is
+    not a number or a repeated user fails naming the file and the line."""
+    scores: Dict[str, float] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        if not {"user_id", "score"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: line 1: the header needs columns user_id and score")
         for row in reader:
-            out.append((row["user_id"], float(row["score"])))
-    return out
+            uid = row["user_id"]
+            try:
+                if uid in scores:
+                    raise ValueError(f"user {uid!r} is scored twice")
+                scores[uid] = float(row["score"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return scores
 
 
 def _vocab_path(args) -> str:
@@ -175,7 +185,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scores = dict(_read_scores(args.scores))
+    scores = _read_scores(args.scores)
     # Streamed: each user's id array is dropped once its label is read.
     entries = [ev.RankEntry(s.user_id, scores[s.user_id], int(s.label > 0))
                for s in iter_jsonl(args.data) if s.user_id in scores]
@@ -214,12 +224,9 @@ def cmd_embed(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     results = gradient_suite(seed=args.seed)
-    worst = 0.0
     for name, err in results:
-        status = "ok" if err < TOLERANCE else "FAIL"
-        print(f"{name:22s} max rel err {err:.3e}  {status}")
-        worst = max(worst, err)
-    return 0 if worst < TOLERANCE else 1
+        print(f"{name:22s} max rel err {err:.3e}  {'ok' if err < TOLERANCE else 'FAIL'}")
+    return 0 if all(err < TOLERANCE for _, err in results) else 1
 
 
 # --- end-to-end smoke ------------------------------------------------------

@@ -93,10 +93,6 @@ class VocabSpec:
     def to_json(self) -> dict:
         return {"dims": [{"name": n, "cardinality": c} for n, c in self.dims]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "VocabSpec":
-        return cls(tuple((d["name"], int(d["cardinality"])) for d in obj["dims"]))
-
 
 def default_vocab() -> VocabSpec:
     """The 9-feature default schema (cardinalities include PAD id 0)."""
@@ -425,8 +421,9 @@ def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[
     """Parse a corpus file one user at a time; a malformed line fails with its
     line number when the reader reaches it.
 
-    With ``cardinalities`` every event must have one token per dimension,
-    each in [0, V_d).
+    ``label`` must be a JSON integer >= 0 and ``anomaly_onset`` a JSON
+    integer or null. With ``cardinalities`` every event must have one token
+    per dimension, each in [0, V_d).
     """
     cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
@@ -460,10 +457,15 @@ def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[
                     t, d = np.argwhere(bad)[0]
                     raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
                                       f"outside [0, {cards[d]})")
-            onset = rec["anomaly_onset"]
+            label, onset = rec["label"], rec["anomaly_onset"]
+            if type(label) is not int or label < 0:  # a bool is an int subclass
+                raise SchemaError(f"line {lineno}: field 'label' must be an integer >= 0, "
+                                  f"got {label!r}")
+            if type(onset) not in (int, type(None)):
+                raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
+                                  f"or null, got {onset!r}")
             try:
-                seq = BehaviorSequence(str(rec["user_id"]), ids, int(rec["label"]),
-                                       None if onset is None else int(onset))
+                seq = BehaviorSequence(str(rec["user_id"]), ids, label, onset)
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from exc
             yield seq
@@ -481,5 +483,15 @@ def write_vocab(fh: TextIO, vocab: VocabSpec) -> None:
 
 
 def read_vocab(path) -> VocabSpec:
+    """The vocab sidecar at ``path``; a fault fails naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return VocabSpec.from_json(json.load(fh))
+        try:
+            dims = tuple((d["name"], d["cardinality"]) for d in json.load(fh)["dims"])
+            for name, card in dims:
+                if type(card) is not int:
+                    raise ValueError(f"dimension {name!r}: cardinality {card!r} is not an integer")
+            return VocabSpec(dims)
+        except KeyError as exc:
+            raise SchemaError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {exc}") from exc

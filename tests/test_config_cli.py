@@ -369,6 +369,30 @@ def test_cli_out_of_range_token_names_the_line(scoring_run, tmp_path, capsys, co
     assert not out.exists()
 
 
+def test_cli_score_rejects_a_negative_label_naming_the_line(scoring_run, tmp_path, capsys):
+    records = [dict(r) for r in scoring_run["records"]]
+    records[2].update(label=-1, anomaly_onset=None)
+    data = write_records(tmp_path / "d.jsonl", records)
+    out = tmp_path / "s.csv"
+    assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(data), "--out", str(out)]) == 1
+    assert "line 3: field 'label'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("user_id,value\nu0000000,0.5\n", "line 1: the header needs columns user_id and score"),
+    ("user_id,score\nu0000000,0.5\nu0000001,abc\n", "line 3: could not convert"),
+    ("user_id,score\nu0000000,0.5\nu0000000,0.7\n", "line 3: user 'u0000000' is scored twice"),
+], ids=["no_score_column", "not_a_number", "repeated_user"])
+def test_cli_eval_names_the_scores_file_and_line(scoring_run, tmp_path, capsys, text, message):
+    scores = tmp_path / "s.csv"
+    scores.write_text(text)
+    assert run_subcommand(["eval", "--scores", str(scores),
+                           "--data", str(scoring_run["data"])]) == 1
+    assert f"s.csv: {message}" in capsys.readouterr().err
+
+
 def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, monkeypatch):
     from fraudformer import sft
     monkeypatch.setattr(sft, "score_users", lambda *a, **k: [("u1", 0.5), ("u2", "not a score")])

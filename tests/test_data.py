@@ -300,8 +300,37 @@ def test_jsonl_rejects_malformed_json(tmp_path):
         read_jsonl(p)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("label", -1), ("label", "2"), ("label", 1.7), ("label", True), ("label", None),
+    ("anomaly_onset", 1.6), ("anomaly_onset", "1"),
+])
+def test_jsonl_label_and_onset_must_be_json_integers(tmp_path, field, value):
+    good = {"user_id": "u0", "attrs": [[1, 1], [2, 2], [3, 3]], "label": 1, "anomaly_onset": 1}
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+    with pytest.raises(SchemaError, match=f"line 2: field '{field}'"):
+        read_jsonl(p, TINY_VOCAB.cardinalities)
+
+
 def test_vocab_sidecar_round_trip(tmp_path):
     p = tmp_path / "vocab.json"
     with open(p, "w", encoding="utf-8") as fh:
         write_vocab(fh, default_vocab())
     assert read_vocab(p) == default_vocab()
+
+
+@pytest.mark.parametrize("sidecar,message", [
+    ({}, "missing key 'dims'"),
+    ({"dims": [{"name": "a"}]}, "missing key 'cardinality'"),
+    ({"dims": [{"name": "a", "cardinality": "abc"}]}, "cardinality 'abc' is not an integer"),
+    ({"dims": [{"name": "a", "cardinality": 3.7}]}, "cardinality 3.7 is not an integer"),
+    ({"dims": [{"name": "a", "cardinality": 3}, {"name": "a", "cardinality": 4}]},
+     "dimension names must be unique"),
+    ({"dims": [{"name": "a", "cardinality": 1}]}, "needs cardinality >= 2"),
+], ids=["no_dims", "no_cardinality", "string_cardinality", "float_cardinality",
+        "repeated_name", "cardinality_1"])
+def test_read_vocab_names_its_file(tmp_path, sidecar, message):
+    p = tmp_path / "vocab.json"
+    p.write_text(json.dumps(sidecar))
+    with pytest.raises(SchemaError, match=f"vocab.json: .*{message}"):
+        read_vocab(p)

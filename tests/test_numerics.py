@@ -1,7 +1,6 @@
 """Tensor engine: forward oracles, finite-difference checks, Adam."""
 
 import math
-import zlib
 
 import numpy as np
 import pytest
@@ -277,126 +276,28 @@ def test_nested_tapes_rejected():
                 pass
 
 
-GRADIENT_CASES = [
-    "matmul", "matmul_t", "add", "mul", "layer_norm", "relu", "softmax_ce",
-    "conv1d", "max_over_time", "concat_slice", "take_rows", "normalize_rows",
-    "row_diff", "softmax_rows", "dropout", "take_rows_2d", "add_n",
-    "scale_float", "scale_array", "add_const", "concat_rows", "reshape", "sum_all",
-]
+@pytest.fixture(scope="module")
+def suite_errors():
+    """verify.CHECKS's max relative errors at seed 0, as gradcheck prints them."""
+    return dict(verify.gradient_suite(0))
 
 
-@pytest.mark.parametrize("name", GRADIENT_CASES)
-def test_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    if name == "matmul":
-        a, b = rand64(rng, 3, 4), rand64(rng, 4, 2)
-        fn = lambda: ops.sum_all(ops.matmul(a, b))
-        wiggle = [a, b]
-    elif name == "matmul_t":
-        a, b = rand64(rng, 3, 4), rand64(rng, 5, 4)
-        fn = lambda: ops.sum_all(ops.mul(ops.matmul_t(a, b), ops.matmul_t(a, b)))
-        wiggle = [a, b]
-    elif name == "add":
-        a, b = rand64(rng, 4, 3), rand64(rng, 4, 3)
-        fn = lambda: ops.sum_all(ops.mul(ops.add(a, b), ops.add(a, b)))
-        wiggle = [a, b]
-    elif name == "mul":
-        a, b = rand64(rng, 4, 4), rand64(rng, 4, 4)
-        fn = lambda: ops.sum_all(ops.mul(a, b))
-        wiggle = [a, b]
-    elif name == "layer_norm":
-        x, g, b = rand64(rng, 5, 6), rand64(rng, 6), rand64(rng, 6)
-        fn = lambda: ops.sum_all(ops.mul(ops.layer_norm(x, g, b), ops.layer_norm(x, g, b)))
-        wiggle = [x, g, b]
-    elif name == "relu":
-        x = Tensor(rng.standard_normal((5, 5)) + np.sign(rng.standard_normal((5, 5))),
-                   requires_grad=True)  # keep inputs away from the kink
-        fn = lambda: ops.sum_all(ops.mul(ops.relu(x), ops.relu(x)))
-        wiggle = [x]
-    elif name == "softmax_ce":
-        x = rand64(rng, 6, 5)
-        tgt = rng.integers(0, 5, size=6)
-        fn = lambda: ops.softmax_ce(x, tgt)
-        wiggle = [x]
-    elif name == "conv1d":
-        x, k, b = rand64(rng, 8, 3), rand64(rng, 3, 3, 4), rand64(rng, 4)
-        fn = lambda: ops.sum_all(ops.mul(ops.conv1d(x, k, b), ops.conv1d(x, k, b)))
-        wiggle = [x, k, b]
-    elif name == "max_over_time":
-        x = rand64(rng, 7, 4)  # ties have measure zero under a continuous draw
-        fn = lambda: ops.sum_all(ops.mul(ops.max_over_time(x), ops.max_over_time(x)))
-        wiggle = [x]
-    elif name == "concat_slice":
-        a, b = rand64(rng, 4, 3), rand64(rng, 4, 2)
-        fn = lambda: ops.sum_all(ops.mul(ops.slice_cols(ops.concat_cols([a, b]), 1, 4),
-                                         ops.slice_cols(ops.concat_cols([a, b]), 1, 4)))
-        wiggle = [a, b]
-    elif name == "take_rows":
-        x = rand64(rng, 6, 3)
-        idx = np.array([0, 2, 2, 5])  # repeated row: gather gradient must accumulate
-        fn = lambda: ops.sum_all(ops.mul(ops.take_rows(x, idx), ops.take_rows(x, idx)))
-        wiggle = [x]
-    elif name == "take_rows_2d":
-        x = rand64(rng, 6, 3)
-        idx = np.array([[1, 2, 3], [3, 4, 5]])  # a [2, 3] block sharing row 3
-        fn = lambda: ops.sum_all(ops.mul(ops.take_rows(x, idx), ops.take_rows(x, idx)))
-        wiggle = [x]
-    elif name == "normalize_rows":
-        x = rand64(rng, 5, 4)
-        w = rng.standard_normal((5, 4))
-        fn = lambda: ops.sum_all(ops.mul(ops.normalize_rows(x), Tensor(w)))
-        wiggle = [x]
-    elif name == "row_diff":
-        x = rand64(rng, 6, 3)
-        fn = lambda: ops.sum_all(ops.mul(ops.row_diff(x), ops.row_diff(x)))
-        wiggle = [x]
-    elif name == "softmax_rows":
-        x = rand64(rng, 4, 5)
-        w = rng.standard_normal((4, 5))
-        fn = lambda: ops.sum_all(ops.mul(ops.softmax_rows(x), Tensor(w)))
-        wiggle = [x]
-    elif name == "add_n":
-        a, b = rand64(rng, 3, 4), rand64(rng, 3, 4)
-        fn = lambda: ops.sum_all(ops.mul(ops.add_n([a, b, a]), ops.add_n([a, b, a])))
-        wiggle = [a, b]
-    elif name in ("scale_float", "scale_array"):
-        x = rand64(rng, 4, 5)
-        c = -1.7 if name == "scale_float" else rng.standard_normal((4, 5))
-        fn = lambda: ops.sum_all(ops.mul(ops.scale(x, c), ops.scale(x, c)))
-        wiggle = [x]
-    elif name == "add_const":
-        x = rand64(rng, 4, 5)
-        c = rng.standard_normal((4, 5))
-        fn = lambda: ops.sum_all(ops.mul(ops.add_const(x, c), ops.add_const(x, c)))
-        wiggle = [x]
-    elif name == "concat_rows":
-        a, b = rand64(rng, 2, 3), rand64(rng, 4, 3)
-        fn = lambda: ops.sum_all(ops.mul(ops.concat_rows([a, b, a]), ops.concat_rows([a, b, a])))
-        wiggle = [a, b]
-    elif name == "reshape":
-        x = rand64(rng, 4, 6)
-        w = rng.standard_normal((2, 12))
-        fn = lambda: ops.sum_all(ops.mul(ops.reshape(x, (2, 12)), Tensor(w)))
-        wiggle = [x]
-    elif name == "sum_all":
-        x = rand64(rng, 3, 5)
-        fn = lambda: ops.sum_all(x)
-        wiggle = [x]
-    else:  # dropout: fix the mask so the loss is deterministic
-        x = rand64(rng, 6, 6)
-        fn = lambda: ops.sum_all(ops.mul(ops.dropout(x, 0.4, np.random.default_rng(99)),
-                                         ops.dropout(x, 0.4, np.random.default_rng(99))))
-        wiggle = [x]
-    err = grad_check(fn, wiggle, np.random.default_rng(0), n_probes=20)
-    assert err < 1e-4, f"{name}: max rel err {err:.3e}"
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_gradients_match_finite_differences(suite_errors, name):
+    assert suite_errors[name] < verify.TOLERANCE, f"{name}: max rel err {suite_errors[name]:.3e}"
+
+
+def checked_op(name):
+    """The op a check ``op`` or ``op_<form>`` checks: the longest such op
+    name, so that ``add_n`` checks add_n and not add."""
+    ops_named = [op for op in ops.__all__ if name == op or name.startswith(op + "_")]
+    return max(ops_named, key=len, default=None)
 
 
 def test_every_op_has_a_finite_difference_check():
-    # A case "op" or "op_<form>" here, or a verify.CHECKS entry, checks op.
-    names = set(GRADIENT_CASES) | set(verify.CHECKS) | {"concat_cols", "slice_cols"}  # concat_slice
-    missing = [op for op in ops.__all__
-               if not any(n == op or n.startswith(op + "_") for n in names)]
-    assert not missing, f"ops without a gradient check: {missing}"
+    checked = {checked_op(name) for name in verify.CHECKS}
+    missing = [op for op in ops.__all__ if op not in checked]
+    assert not missing, f"ops without a verify.CHECKS entry: {missing}"
 
 
 def test_backward_skips_constants_and_scatters_onto_a_held_gradient():
@@ -515,9 +416,6 @@ def test_adam_lr_mult_zero_freezes_named_param():
 def test_gradcheck_command_lists_the_batched_attention_ops(capsys):
     from fraudformer.cli import run_subcommand
     assert run_subcommand(["gradcheck"]) == 0
-    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
-    assert {"matmul_batched", "matmul_t_batched", "split_heads", "merge_heads"} <= listed
-    # the linear layers' fused bias
-    assert {"matmul_bias", "matmul_bias_batched"} <= listed
-    # and the anomaly head's batched forms
-    assert {"conv1d_batched", "max_over_time_batched", "row_diff_batched"} <= listed
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    # one line per check, the batched attention and anomaly-head forms among them
+    assert listed == list(verify.CHECKS)
