@@ -20,8 +20,8 @@ from . import evaluation as ev
 from . import sft as sft_mod
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .data import (BehaviorSequence, generate_corpus, ids_array, iter_jsonl,
-                   read_jsonl, read_vocab, write_jsonl, write_vocab)
+from .data import (BehaviorSequence, generate_corpus, iter_numbered_jsonl, read_jsonl,
+                   read_vocab, write_jsonl, write_vocab)
 from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
@@ -71,6 +71,19 @@ def _read_scores(path) -> Dict[str, float]:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return scores
+
+
+def _unique_users(path, cardinalities: Optional[Sequence[int]] = None,
+                  ) -> Iterator[BehaviorSequence]:
+    """``path``'s users, streamed; a user_id that repeats fails naming both
+    of its lines, since each user gets one score or embedding."""
+    first_line: Dict[str, int] = {}
+    for lineno, seq in iter_numbered_jsonl(path, cardinalities):
+        if seq.user_id in first_line:
+            raise ValueError(f"{path}: lines {first_line[seq.user_id]} and {lineno}: "
+                             f"user {seq.user_id!r} appears twice")
+        first_line[seq.user_id] = lineno
+        yield seq
 
 
 def _vocab_path(args) -> str:
@@ -176,7 +189,7 @@ def cmd_score(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint, "sft")
     if ckpt.head is None:
         raise ValueError("scoring needs an sft checkpoint with a binary head")
-    users = iter_jsonl(args.data, ckpt.model.cardinalities)
+    users = _unique_users(args.data, ckpt.model.cardinalities)
     scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head,
                                  _head_readable(users, ckpt.model, ckpt.head))
     _write_scores(args.out, scores)
@@ -188,7 +201,12 @@ def cmd_eval(args) -> int:
     scores = _read_scores(args.scores)
     # Streamed: each user's id array is dropped once its label is read.
     entries = [ev.RankEntry(s.user_id, scores[s.user_id], int(s.label > 0))
-               for s in iter_jsonl(args.data) if s.user_id in scores]
+               for s in _unique_users(args.data) if s.user_id in scores]
+    found = {e.user_id for e in entries}
+    missing = [uid for uid in scores if uid not in found]
+    if missing:
+        raise ValueError(f"{len(missing)} scored users are not in {args.data}; "
+                         f"the first is {missing[0]!r}")
     ks = [float(k) for k in args.k.split(",")] if args.k else [0.01, 0.001, 0.0001]
     rows = ev.topk_rank_metrics(entries, ks)
     print(ev.render_topk_report(rows), end="")
@@ -205,18 +223,19 @@ def cmd_embed(args) -> int:
     ``EMBED_CHUNK`` users at a time."""
     ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
     model = ckpt.model
-    users = iter_jsonl(args.data, model.cardinalities)
+    users = _unique_users(args.data, model.cardinalities)
+    # 9 significant digits round-trip a float32 exactly. One format for the
+    # row's Python floats gives the text of formatting each value alone.
+    row = ",".join(["%.9g"] * model.d_model)
     n_users = 0
     with atomic_open(args.out) as fh:
         header = ",".join(f"e{i}" for i in range(model.d_model))
         fh.write(f"user_id,{header}\n")
         while chunk := list(itertools.islice(users, EMBED_CHUNK)):
-            ids = [ids_array(seq)[-model.t_max:] for seq in chunk]
+            ids = [seq.ids[-model.t_max:] for seq in chunk]
             vecs = cl.embed_batch(ids, ckpt.params, model).data
             for seq, vec in zip(chunk, vecs):
-                # 9 significant digits round-trip a float32 exactly; Python
-                # floats format faster than numpy scalars, to the same text.
-                fh.write(seq.user_id + "," + ",".join(f"{x:.9g}" for x in vec.tolist()) + "\n")
+                fh.write(seq.user_id + "," + row % tuple(vec.tolist()) + "\n")
             n_users += len(chunk)
     print(f"embedded {n_users} sequences -> {args.out}")
     return 0

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
-from .data import BehaviorSequence, ids_array, window_sample
+from .data import BehaviorSequence, window_sample
 from .model import ModelConfig, causal_forward, encode_batch
 from .rng import child_rng, shuffled_batches
 
@@ -26,11 +26,11 @@ __all__ = [
 def embed_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
                 cfg: ModelConfig, rng: Optional[np.random.Generator] = None) -> nm.Tensor:
     """Sequence embeddings: hidden state at each last non-pad position: [N, d_model].
-    Dropout runs iff ``rng`` is given."""
+    Dropout runs iff ``rng`` is given. The last layer runs at those rows only
+    (see ``causal_forward``); a row is the same bits alone or in any batch."""
     batch = encode_batch(id_arrays, params, cfg)
-    h = causal_forward(batch.x, params, cfg, rng)
     last = np.arange(len(batch.lengths)) * (cfg.t_max + 1) + batch.lengths
-    return nm.take_rows(h, last)
+    return causal_forward(batch.x, params, cfg, rng, last)
 
 
 def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
@@ -39,7 +39,7 @@ def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
     """Embedding of one sequence's most recent ``t_max`` events; with an rng,
     dropout runs so views differ. Without one it is the same bits as the
     sequence's row of any ``embed_batch`` call without one."""
-    ids = ids_array(seq)[-cfg.t_max:]
+    ids = seq.ids[-cfg.t_max:]
     return nm.reshape(embed_batch([ids], params, cfg, rng), (cfg.d_model,))
 
 
@@ -108,7 +108,7 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     curve: List[Tuple[int, float]] = []
     for step, picks in enumerate(batches):
         wrng = child_rng(cfg.seed, "cl-window", step)
-        ids = [ids_array(window_sample(corpus[i], model_cfg.t_max, wrng)) for i in picks]
+        ids = [window_sample(corpus[i], model_cfg.t_max, wrng).ids for i in picks]
         rng_a = child_rng(cfg.seed, "cl-view-a", step)
         rng_b = child_rng(cfg.seed, "cl-view-b", step)
 

@@ -50,7 +50,8 @@ __all__ = [
     "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
     "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
-    "iter_jsonl", "read_jsonl", "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
+    "iter_numbered_jsonl", "iter_jsonl", "read_jsonl", "write_jsonl", "read_vocab",
+    "write_vocab", "SchemaError",
 ]
 
 PAD_ID = 0
@@ -146,7 +147,8 @@ class BehaviorSequence:
 
 
 def ids_array(seq: BehaviorSequence) -> np.ndarray:
-    """Token ids of shape [T, D]: the sequence's own read-only array, not a copy."""
+    """Token ids of shape [T, D]: ``seq.ids`` itself, not a copy. The program
+    reads ``seq.ids``; this stays while the benchmark's tracer times it by name."""
     return seq.ids
 
 
@@ -417,9 +419,10 @@ def write_jsonl(fh: TextIO, corpus: Iterable[BehaviorSequence]) -> None:
         fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[BehaviorSequence]:
-    """Parse a corpus file one user at a time; a malformed line fails with its
-    line number when the reader reaches it.
+def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
+                        ) -> Iterator[Tuple[int, BehaviorSequence]]:
+    """Parse a corpus file one user at a time, as (line number, user) pairs; a
+    malformed line fails with its line number when the reader reaches it.
 
     ``label`` must be a JSON integer >= 0 and ``anomaly_onset`` a JSON
     integer or null. With ``cardinalities`` every event must have one token
@@ -468,7 +471,12 @@ def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[
                 seq = BehaviorSequence(str(rec["user_id"]), ids, label, onset)
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from exc
-            yield seq
+            yield lineno, seq
+
+
+def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[BehaviorSequence]:
+    """The users of ``iter_numbered_jsonl``, without their line numbers."""
+    return (seq for _, seq in iter_numbered_jsonl(path, cardinalities))
 
 
 def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
-from .data import BehaviorSequence, VocabSpec, ids_array, window_sample
+from .data import BehaviorSequence, VocabSpec, window_sample
 from .rng import child_rng, shuffled_batches
 
 __all__ = [
@@ -193,29 +193,52 @@ def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
 
 
 def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
-                   rng: Optional[np.random.Generator] = None) -> nm.Tensor:
+                   rng: Optional[np.random.Generator] = None,
+                   last: Optional[np.ndarray] = None) -> nm.Tensor:
     """Pre-norm causal self-attention blocks over [B * R, d_model] rows.
 
     The rows are B sequences of R = t_max + 1 rows each, as ``encode_batch``
     lays them out. Attention runs per sequence and head under one shared
     R x R causal mask, so a row sees only the earlier rows of its own sequence.
     Dropout runs iff ``rng`` is given (training); ``rng=None`` is evaluation.
+
+    With ``last``, one row index into ``x`` per sequence, the result is the
+    [B, d_model] rows ``take_rows(causal_forward(x), last)``, to float
+    round-off: the last layer takes keys and values from every row but runs
+    its queries, attention output, MLP and final norm at those rows only.
+    Their products are stacked, [B, 1, k] @ W, so that a row's bits do not
+    depend on B: numpy computes a lone 2-D row with another kernel.
     """
     n, r = x.data.shape[0], cfg.t_max + 1
     if n % r:
         raise nm.DimensionError(f"{n} rows do not split into sequences of t_max + 1 = {r}")
-    n_seq, heads = n // r, cfg.n_heads
+    n_seq, heads, d = n // r, cfg.n_heads, cfg.d_model
+    if last is not None:
+        last = np.asarray(last, dtype=np.int64)
+        if last.shape != (n_seq,) or np.any(last // r != np.arange(n_seq)):
+            raise nm.DimensionError(f"last must give one row of each of the {n_seq} "
+                                    f"sequences in order, got {last}")
     mask = np.triu(np.full((r, r), -np.inf, dtype=x.data.dtype), k=1)
-    inv_sqrt = 1.0 / math.sqrt(cfg.d_model // heads)
+    inv_sqrt = 1.0 / math.sqrt(d // heads)
+    split, merge = (lambda t: nm.split_heads(t, n_seq, heads)), nm.merge_heads
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         h = nm.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        q, k, v = (nm.split_heads(nm.matmul(h, params[f"{pre}.attn.w{c}"],
-                                            params[f"{pre}.attn.b{c}"]), n_seq, heads)
-                   for c in "qkv")
+        rows = h
+        if last is not None and i == cfg.n_layers - 1:
+            x, rows = (nm.take_rows(t, last[:, None]) for t in (x, h))
+            # Each query keeps its own row of the causal mask.
+            mask = mask[last % r].reshape(n_seq, 1, 1, r)
+            # With one query row per sequence, splitting and merging heads are reshapes.
+            split = lambda t: nm.reshape(t, (n_seq, heads, 1, d // heads))
+            merge = lambda t: nm.reshape(t, (n_seq, 1, d))
+        q = split(nm.matmul(rows, params[f"{pre}.attn.wq"], params[f"{pre}.attn.bq"]))
+        k, v = (nm.split_heads(nm.matmul(h, params[f"{pre}.attn.w{c}"],
+                                         params[f"{pre}.attn.b{c}"]), n_seq, heads)
+                for c in "kv")
         scores = nm.scale(nm.matmul_t(q, k), inv_sqrt)
         probs = nm.softmax_rows(nm.add_const(scores, mask))
-        att = nm.matmul(nm.merge_heads(nm.matmul(probs, v)), params[f"{pre}.attn.wo"],
+        att = nm.matmul(merge(nm.matmul(probs, v)), params[f"{pre}.attn.wo"],
                         params[f"{pre}.attn.bo"])
         att = nm.dropout(att, cfg.dropout, rng)
         x = nm.add(x, att)
@@ -224,7 +247,8 @@ def causal_forward(x: nm.Tensor, params: Dict[str, nm.Tensor], cfg: ModelConfig,
         m = nm.matmul(m, params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"])
         m = nm.dropout(m, cfg.dropout, rng)
         x = nm.add(x, m)
-    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    out = nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    return out if last is None else nm.reshape(out, (n_seq, d))
 
 
 def reconstruct_logits(h: nm.Tensor, params: Dict[str, nm.Tensor],
@@ -297,7 +321,7 @@ def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig, train_cf
     curve: List[Tuple[int, float]] = []
     for step, picks in enumerate(batches):
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
-        ids = [ids_array(window_sample(corpus[i], cfg.t_max, wrng)) for i in picks]
+        ids = [window_sample(corpus[i], cfg.t_max, wrng).ids for i in picks]
         drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
         loss = opt.minimize(lambda: batch_reconstruction_loss(ids, params, cfg, drng))
         curve.append((step, loss))

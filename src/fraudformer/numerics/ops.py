@@ -4,7 +4,7 @@ Each op computes its numpy forward and hands the result to ``_record`` with
 its inputs and ``grads``, a function from the output's gradient to one
 contribution per input; ``_record`` does all gradient bookkeeping. No
 implicit broadcasting beyond the patterns spelled out per op (``matmul``'s
-bias, ``scale``'s and ``add_const``'s constants); reshape explicitly
+bias and its stack of single rows, ``scale``'s and ``add_const``'s constants); reshape explicitly
 otherwise.
 """
 
@@ -108,12 +108,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product a[..., m, k] @ b[..., k, n] over equal leading axes, if
-    any; there is no broadcasting. An optional 1-D ``bias[n]`` is added on the
+    any; there is no broadcasting but one form: a stack of single rows
+    a[..., 1, k] times one weight b[k, n]. numpy computes each of those rows
+    alone, with the kernel it uses for a lone 2-D row, so a row's bits do not
+    depend on the stack's size. An optional 1-D ``bias[n]`` is added on the
     last axis, the same bits as ``add(matmul(a, b), bias)``."""
-    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
-            or a.data.shape[-1] != b.data.shape[-2]):
+    rows = a.data.ndim > 2 and a.data.shape[-2] == 1 and b.data.ndim == 2
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]
+            or not rows and a.data.shape[:-2] != b.data.shape[:-2]):
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    n = b.data.shape[-1]
+    k, n = b.data.shape[-2:]
     if bias is not None and bias.data.shape != (n,):
         raise DimensionError(f"matmul: bias must have shape ({n},), got {bias.data.shape}")
     y = a.data @ b.data
@@ -122,7 +126,10 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def grads(g):
         yield g @ b.data.swapaxes(-1, -2)
-        yield a.data.swapaxes(-1, -2) @ g
+        if rows:  # one weight for every row of the stack: sum over them
+            yield a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        else:
+            yield a.data.swapaxes(-1, -2) @ g
         yield g.reshape(-1, n).sum(axis=0)  # drawn only when bias is an input
 
     return _record(Tensor(y), (a, b) if bias is None else (a, b, bias), grads)

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
-from .data import BehaviorSequence, ids_array, window_sample
+from .data import BehaviorSequence, window_sample
 from .model import ModelConfig, causal_forward, encode_batch
 from .rng import child_rng
 
@@ -210,7 +210,7 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
         losses, hits, total = [], 0, 0
         for batch_seqs in epoch_batches(pos, neg, cfg, epoch):
             wrng = child_rng(cfg.seed, "sft-window", opt.t)
-            ids = [ids_array(window_sample(s, model_cfg.t_max, wrng)) for s in batch_seqs]
+            ids = [window_sample(s, model_cfg.t_max, wrng).ids for s in batch_seqs]
             labels = np.array([int(s.label > 0) for s in batch_seqs])
             drng = child_rng(cfg.seed, "sft-dropout", opt.t)
 
@@ -240,7 +240,7 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     out = []
     users = iter(users)
     while chunk := list(itertools.islice(users, batch_size)):
-        ids = [ids_array(s)[-model_cfg.t_max:] for s in chunk]
+        ids = [s.ids[-model_cfg.t_max:] for s in chunk]
         logits = batch_class_logits(ids, params, model_cfg, head_cfg)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)

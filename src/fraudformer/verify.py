@@ -2,7 +2,7 @@
 
 ``CHECKS`` is the one registry of gradient checks: an entry ``op`` or
 ``op_<form>`` for every primitive in ``numerics.ops``, each under a weighted
-sum of its output, plus the three composite losses. ``gradient_suite`` runs
+sum of its output, plus the four composite losses. ``gradient_suite`` runs
 them all, for the ``gradcheck`` CLI subcommand and the tests alike.
 """
 
@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
-from .contrastive import infonce_loss
+from .contrastive import embed_batch, infonce_loss
 from .model import ModelConfig, batch_reconstruction_loss, init_params
 from .rng import child_rng
 from .sft import (AnomalyHeadConfig, batch_class_logits, init_head_params)
@@ -46,9 +46,9 @@ def _check_relu(rng) -> float:
     return _weighted(nm.relu, [x], rng)
 
 
-def _tiny_model(rng_label: str) -> Tuple[ModelConfig, Dict[str, nm.Tensor]]:
+def _tiny_model(rng_label: str, n_layers: int = 1) -> Tuple[ModelConfig, Dict[str, nm.Tensor]]:
     cfg = ModelConfig(cardinalities=(4, 5), d_k=(4, 4), d_model=8,
-                      n_layers=1, n_heads=2, t_max=6, dropout=0.0)
+                      n_layers=n_layers, n_heads=2, t_max=6, dropout=0.0)
     params = init_params(cfg, child_rng(7, rng_label), dtype=F64)
     return cfg, params
 
@@ -64,6 +64,18 @@ def _check_reconstruction(rng) -> float:
 def _check_infonce(rng) -> float:
     v, vp = _t(rng, 4, 6), _t(rng, 4, 6)
     return nm.grad_check(lambda: infonce_loss(v, vp, 0.05), [v, vp], rng)
+
+
+def _check_embed_infonce(rng) -> float:
+    """InfoNCE between two windows of each sequence, through ``embed_batch``'s
+    last-row-only last layer; two layers, so that one runs in full."""
+    cfg, params = _tiny_model("gc-embed", n_layers=2)
+    ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
+           for t in (6, 4, 3)]
+    wiggle = [params[k] for k in sorted(params)]
+    return nm.grad_check(lambda: infonce_loss(embed_batch(ids, params, cfg),
+                                              embed_batch([a[1:] for a in ids], params, cfg),
+                                              0.05), wiggle, rng)
 
 
 def _check_sft_pipeline(rng) -> float:
@@ -95,6 +107,8 @@ CHECKS: Dict[str, Callable] = {
     # the linear layers: a bias on the last axis, folded into the product
     "matmul_bias": _weighted_check(nm.matmul, (4, 6), (6, 5), (5,)),
     "matmul_bias_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4), (4,)),
+    # the last layer's form at one row per sequence: a stack of rows, one weight
+    "matmul_rows": _weighted_check(nm.matmul, (3, 1, 5), (5, 4), (4,)),
     "matmul_t": _weighted_check(nm.matmul_t, (3, 4), (5, 4)),
     "matmul_t_batched": _weighted_check(nm.matmul_t, (2, 3, 4, 5), (2, 3, 6, 5)),
     # 2 sequences of 3 rows, 2 heads of width 4
@@ -125,6 +139,7 @@ CHECKS: Dict[str, Callable] = {
     "sum_all": _weighted_check(nm.sum_all, (3, 5)),
     "reconstruction_loss": _check_reconstruction,
     "infonce_loss": _check_infonce,
+    "embed_infonce": _check_embed_infonce,
     "sft_pipeline": _check_sft_pipeline,
 }
 

@@ -17,7 +17,7 @@ from fraudformer.config import load_run_config
 from fraudformer.contrastive import (ContrastiveConfig, cosine_matrix,
                                      embed_batch, finetune_contrastive,
                                      infonce_loss, mean_alignment)
-from fraudformer.data import GeneratorConfig, generate_corpus, ids_array
+from fraudformer.data import GeneratorConfig, generate_corpus
 from fraudformer.evaluation import (RankEntry, per_class_metrics, roc_auc,
                                     topk_consistent, topk_rank_metrics)
 from fraudformer.model import (ModelConfig, allocate_widths,
@@ -166,7 +166,7 @@ def test_criterion_4_analytic_losses():
     corpus = generate_corpus(gen)
     cfg = load_run_config().model_config(gen.vocab)
     params = init_params(cfg, np.random.default_rng(7))
-    ids = [ids_array(s) for s in corpus]
+    ids = [s.ids for s in corpus]
     first = batch_reconstruction_loss(ids, params, cfg).item()
     floor = np.mean([math.log(v) for v in cfg.cardinalities])
     first_ok = abs(first - floor) / floor < 0.05
@@ -340,7 +340,7 @@ def test_criterion_8_contrastive_run():
     # loss with nothing to pull together.
     cfg = replace(load_run_config().model_config(gen.vocab), dropout=0.3)
     params = init_params(cfg, child_rng(0, "init"))
-    held_ids = [ids_array(s) for s in held[:128]]
+    held_ids = [s.ids for s in held[:128]]
 
     def held_metrics(p):
         losses, aligns = [], []
@@ -359,7 +359,7 @@ def test_criterion_8_contrastive_run():
                                                       steps=200, lr=1e-3, seed=0))
     held_loss, align_after = held_metrics(tuned)
 
-    ids_all = [ids_array(s) for s in held]
+    ids_all = [s.ids for s in held]
     v = np.vstack([embed_batch(ids_all[i:i + 64], tuned, cfg).data
                    for i in range(0, len(ids_all), 64)])
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -393,6 +393,36 @@ def test_cli_eval_names_the_scores_file_and_line(scoring_run, tmp_path, capsys, 
     assert f"s.csv: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["score", "embed", "eval"])
+def test_cli_repeated_user_names_both_lines(scoring_run, tmp_path, capsys, command):
+    records = scoring_run["records"]
+    data = write_records(tmp_path / "d.jsonl", records[:3] + [records[1]])
+    out = tmp_path / "out.csv"
+    if command == "eval":
+        scores = tmp_path / "s.csv"
+        scores.write_text("user_id,score\n" + "".join(f"{r['user_id']},0.5\n" for r in records[:3]))
+        argv = ["eval", "--scores", str(scores), "--data", str(data), "--out", str(out)]
+    else:
+        ckpt = scoring_run["sft" if command == "score" else "pre"]
+        argv = [command, "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert run_subcommand(argv) == 1
+    uid = records[1]["user_id"]
+    assert f"d.jsonl: lines 2 and 4: user {uid!r} appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_eval_rejects_scored_users_missing_from_the_data(scoring_run, tmp_path, capsys):
+    records = scoring_run["records"]
+    scores = tmp_path / "s.csv"
+    scores.write_text("user_id,score\n" + "".join(f"{r['user_id']},0.5\n" for r in records))
+    data = write_records(tmp_path / "d.jsonl", records[:3])
+    assert run_subcommand(["eval", "--scores", str(scores), "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert (f"{len(records) - 3} scored users are not in {data}; the first is "
+            f"{records[3]['user_id']!r}") in captured.err
+    assert "ROC-AUC" not in captured.out
+
+
 def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, monkeypatch):
     from fraudformer import sft
     monkeypatch.setattr(sft, "score_users", lambda *a, **k: [("u1", 0.5), ("u2", "not a score")])
@@ -432,19 +462,54 @@ def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_p
 def test_cli_embed_csv_round_trips_float32(scoring_run, tmp_path, capsys):
     from fraudformer.checkpoint import load_checkpoint
     from fraudformer.contrastive import embed_batch
-    from fraudformer.data import ids_array, read_jsonl
+    from fraudformer.data import read_jsonl
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
     ckpt = load_checkpoint(scoring_run["pre"])
     users = read_jsonl(scoring_run["data"])
-    want = embed_batch([ids_array(s)[-ckpt.model.t_max:] for s in users],
+    want = embed_batch([s.ids[-ckpt.model.t_max:] for s in users],
                        ckpt.params, ckpt.model).data
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[0] for r in rows] == [s.user_id for s in users]
     got = np.array([r[1:] for r in rows], dtype=np.float64).astype(np.float32)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+def test_cli_embed_text_is_each_value_formatted_alone(scoring_run, tmp_path, capsys,
+                                                     monkeypatch):
+    """The one row format writes the text of formatting each value alone,
+    on float32 edge values, and the text reads back to the same bits."""
+    from fraudformer import contrastive
+    from fraudformer.numerics.tensor import Tensor
+    f32 = np.finfo(np.float32)
+    edge = [-0.0, 0.0, f32.smallest_subnormal, -f32.smallest_subnormal, f32.tiny,
+            3.4028235e38, -f32.max, 0.1, 1 / 3, 1 + f32.eps, 16777217.0, 1e-5, 123456.789]
+    rng = np.random.default_rng(0)
+    made = []
+
+    def rows(ids, params, cfg, dropout_rng=None):
+        scale = 10.0 ** rng.integers(-8, 8, (len(ids), 1))
+        vals = rng.standard_normal((len(ids), cfg.d_model)) * scale
+        vals[:, :len(edge)] = edge
+        made.append(vals.astype(np.float32))
+        return Tensor(made[-1])
+
+    monkeypatch.setattr(contrastive, "embed_batch", rows)
+    out = tmp_path / "e.csv"
+    assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
+                           "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    made = np.concatenate(made)
+    assert len(lines) == len(made) == len(scoring_run["records"])
+    for line, want in zip(lines, made):
+        text = line.split(",")[1:]
+        assert text == [f"{x:.9g}" for x in want.tolist()]
+        got = np.array(text, dtype=np.float64).astype(np.float32)
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))  # -0.0 too
+    assert text[:3] == ["-0", "0", "1.40129846e-45"] and text[5] == "3.40282347e+38"
+    assert text[7:10] == ["0.100000001", "0.333333343", "1.00000012"]  # all 9 digits
 
 
 def count_embed_batches(monkeypatch, fail_on=None):

@@ -8,10 +8,11 @@ import pytest
 from fraudformer.contrastive import (ContrastiveConfig, cosine_matrix, embed_batch,
                                      embed_sequence, finetune_contrastive,
                                      infonce_loss, mean_alignment)
-from fraudformer.data import ids_array
-from fraudformer.model import init_params
+from fraudformer.model import causal_forward, encode_batch, init_params
 from fraudformer.numerics.gradcheck import grad_check
-from fraudformer.numerics.tensor import Tensor
+from fraudformer.numerics.ops import take_rows
+from fraudformer.numerics.tensor import DimensionError, Tensor
+from fraudformer.sft import AnomalyHeadConfig
 from tests.conftest import f64_params, tiny_model_config
 
 
@@ -123,10 +124,40 @@ def test_embed_batch_matches_single(tiny_corpus):
     cfg = tiny_model_config()
     params = f64_params(cfg)
     seqs = tiny_corpus[:3]
-    batch = embed_batch([ids_array(s) for s in seqs], params, cfg).data
+    batch = embed_batch([s.ids for s in seqs], params, cfg).data
     for i, s in enumerate(seqs):
         np.testing.assert_allclose(batch[i], embed_sequence(params, cfg, s).data,
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16])
+def test_embed_batch_rows_match_the_full_forward(batch):
+    """The last layer run at each sequence's last row only gives the rows that
+    the full forward gives there, to float32 round-off, at every length."""
+    cfg = tiny_model_config(n_layers=2, dropout=0.0)
+    params = init_params(cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(batch)
+    lengths = list(range(AnomalyHeadConfig().min_events, cfg.t_max + 1))
+    lengths = np.resize(lengths, -(-len(lengths) // batch) * batch).reshape(-1, batch)
+    for chunk in lengths:
+        ids = [np.stack([rng.integers(1, v, size=t) for v in cfg.cardinalities], axis=1)
+               for t in chunk]
+        x = encode_batch(ids, params, cfg).x
+        last = np.arange(batch) * (cfg.t_max + 1) + chunk
+        want = take_rows(causal_forward(x, params, cfg), last).data
+        got = embed_batch(ids, params, cfg).data
+        assert got.dtype == np.float32 and got.shape == (batch, cfg.d_model)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def test_causal_forward_rejects_last_rows_outside_their_sequence(tiny_corpus):
+    cfg = tiny_model_config(dropout=0.0)
+    params = f64_params(cfg)
+    x = encode_batch([s.ids[-cfg.t_max:] for s in tiny_corpus[:2]], params, cfg).x
+    r = cfg.t_max + 1
+    for last in ([3], [3, 2], [3, r + r]):
+        with pytest.raises(DimensionError, match="one row of each"):
+            causal_forward(x, params, cfg, last=np.array(last))
 
 
 # --- training -------------------------------------------------------------------------
@@ -167,7 +198,7 @@ def test_contrastive_reduces_loss_and_is_deterministic(tiny_corpus):
 def test_mean_alignment_bounds(tiny_corpus):
     cfg = tiny_model_config()
     params = f64_params(cfg)
-    ids = [ids_array(s) for s in tiny_corpus[:6]]
+    ids = [s.ids for s in tiny_corpus[:6]]
     v = embed_batch(ids, params, cfg).data
     assert -1.0 - 1e-9 <= mean_alignment(v, v) <= 1.0 + 1e-9
     assert abs(mean_alignment(v, v) - 1.0) < 1e-9

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraudformer.config import from_json, to_json
-from fraudformer.data import ids_array
 from fraudformer.model import (ModelConfig, PretrainConfig, allocate_widths,
                                batch_reconstruction_loss, causal_forward,
                                encode_batch, init_params, param_count,
@@ -340,7 +339,7 @@ def test_batch_loss_ignores_padding():
     long = make_sequence(rng, TINY_VOCAB, 7, "b")
 
     def batch_loss(seqs):
-        return batch_reconstruction_loss([ids_array(s) for s in seqs], params, cfg).item()
+        return batch_reconstruction_loss([s.ids for s in seqs], params, cfg).item()
 
     alone = batch_loss([short, short])
     padded = batch_loss([short, long])

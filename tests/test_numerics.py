@@ -61,6 +61,22 @@ def test_matmul_batched_matches_per_matrix_loop():
         ops.matmul(a, rand64(rng, 5, 6))
 
 
+def test_matmul_stack_of_rows_is_each_row_alone():
+    """A stack of single rows times one weight: each row is the bits of its
+    lone 2-D product, whatever the stack's size; a stack of longer blocks
+    against one weight is still refused."""
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.standard_normal((64, 256)).astype(np.float32))
+    rows = rng.standard_normal((16, 1, 64)).astype(np.float32)
+    for size in (1, 2, 5, 16):
+        out = ops.matmul(Tensor(rows[:size]), w).data
+        assert out.shape == (size, 1, 256)
+        for i in range(size):
+            np.testing.assert_array_equal(out[i], rows[i] @ w.data)
+    with pytest.raises(DimensionError, match="matmul"):
+        ops.matmul(Tensor(rows.reshape(8, 2, 64)), w)
+
+
 def test_split_heads_layout_and_merge_inverse():
     x = rand64(np.random.default_rng(5), 2 * 3, 2 * 4)  # 2 sequences of 3 rows, 2 heads of 4
     blocks = ops.split_heads(x, 2, 2)

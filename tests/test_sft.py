@@ -12,7 +12,6 @@ from fraudformer.sft import (AnomalyHeadConfig, SequenceTooShortError,
                              SftConfig, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
                              init_head_params, score_users)
-from fraudformer.data import ids_array
 from fraudformer.model import causal_forward, encode_batch, init_params
 from tests.conftest import f64_params, tiny_model_config
 
@@ -313,7 +312,7 @@ def test_eval_rows_ignore_batch_neighbours(scoring_model, mixed_length_corpus):
         assert all(scores[s.user_id] == alone[s.user_id] for s in short)
 
     def embeddings(batch):
-        rows = embed_batch([ids_array(s)[-mc.t_max:] for s in batch], params, mc).data
+        rows = embed_batch([s.ids[-mc.t_max:] for s in batch], params, mc).data
         return {s.user_id: row for s, row in zip(batch, rows)}
 
     alone = {s.user_id: embed_sequence(params, mc, s).data for s in short}

@@ -10,7 +10,7 @@ import pytest
 import fraudformer.contrastive as cl
 from fraudformer.config import load_run_config
 from fraudformer.contrastive import ContrastiveConfig, finetune_contrastive
-from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus, ids_array
+from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
 from fraudformer.model import (ModelConfig, PretrainConfig, batch_reconstruction_loss,
                                init_params, pretrain_loop)
 from fraudformer.numerics.optim import Adam
@@ -97,11 +97,11 @@ def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
 # Each forward that takes a dropout rng, as (model, head, params, batch, rng) -> Tensor.
 RNG_FORWARDS = {
     "batch_reconstruction_loss": lambda model, head, params, seqs, rng:
-        batch_reconstruction_loss([ids_array(s) for s in seqs], params, model, rng),
+        batch_reconstruction_loss([s.ids for s in seqs], params, model, rng),
     "batch_class_logits": lambda model, head, params, seqs, rng:
-        batch_class_logits([ids_array(s) for s in seqs], params, model, head, rng),
+        batch_class_logits([s.ids for s in seqs], params, model, head, rng),
     "embed_batch": lambda model, head, params, seqs, rng:
-        cl.embed_batch([ids_array(s) for s in seqs], params, model, rng),
+        cl.embed_batch([s.ids for s in seqs], params, model, rng),
     "embed_sequence": lambda model, head, params, seqs, rng:
         cl.embed_sequence(params, model, seqs[0], rng),
 }
