@@ -4,12 +4,15 @@ Each op computes its numpy forward and hands the result to ``_record`` with
 its inputs and ``grads``, a function from the output's gradient to one
 contribution per input; ``_record`` does all gradient bookkeeping. No
 implicit broadcasting beyond the patterns spelled out per op (``matmul``'s
-bias and its stack of single rows, ``scale``'s and ``add_const``'s constants); reshape explicitly
-otherwise.
+bias and its stack of single rows, ``scale``'s and ``add_const``'s
+constants); reshape explicitly otherwise. Causal multi-head attention is one
+op, ``attention``, with its backward written out: of its [B, H, R, R]
+intermediates it keeps only the probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ from .tensor import DimensionError, Tensor, active_tape
 
 __all__ = [
     "add", "add_n", "scale", "add_const", "mul",
-    "matmul", "matmul_t", "split_heads", "merge_heads",
+    "matmul", "matmul_t", "attention",
     "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
     "concat_cols", "slice_cols", "take_rows", "concat_rows",
@@ -31,7 +34,14 @@ def _accumulate(grad: np.ndarray, contribution) -> None:
     if isinstance(contribution, tuple):
         index, values = contribution
         if isinstance(index, np.ndarray):
-            np.add.at(grad, index, values)  # repeated rows accumulate
+            # Rows by integer index, repeats accumulating: one 1-D np.add.at
+            # on a flat view, numpy's fast path. Cell j of row i is flat
+            # cell i*w + j, and each cell still sums its rows in index
+            # order, so the bits are those of np.add.at(grad, index, values).
+            assert grad.flags.c_contiguous, "a flat copy would drop the update"
+            w = math.prod(grad.shape[1:])
+            np.add.at(grad.reshape(-1), (index.reshape(-1, 1) * w + np.arange(w)).reshape(-1),
+                      values.reshape(-1))
         else:
             grad[index] += values
     else:
@@ -107,17 +117,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Matrix product a[..., m, k] @ b[..., k, n] over equal leading axes, if
-    any; there is no broadcasting but one form: a stack of single rows
+    """Matrix product a[m, k] @ b[k, n], or a stack of single rows
     a[..., 1, k] times one weight b[k, n]. numpy computes each of those rows
     alone, with the kernel it uses for a lone 2-D row, so a row's bits do not
     depend on the stack's size. An optional 1-D ``bias[n]`` is added on the
     last axis, the same bits as ``add(matmul(a, b), bias)``."""
-    rows = a.data.ndim > 2 and a.data.shape[-2] == 1 and b.data.ndim == 2
-    if (a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]
-            or not rows and a.data.shape[:-2] != b.data.shape[:-2]):
+    rows = a.data.ndim > 2 and a.data.shape[-2] == 1
+    if (b.data.ndim != 2 or not (a.data.ndim == 2 or rows)
+            or a.data.shape[-1] != b.data.shape[0]):
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    k, n = b.data.shape[-2:]
+    k, n = b.data.shape
     if bias is not None and bias.data.shape != (n,):
         raise DimensionError(f"matmul: bias must have shape ({n},), got {bias.data.shape}")
     y = a.data @ b.data
@@ -125,48 +134,90 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         y += bias.data
 
     def grads(g):
-        yield g @ b.data.swapaxes(-1, -2)
-        if rows:  # one weight for every row of the stack: sum over them
-            yield a.data.reshape(-1, k).T @ g.reshape(-1, n)
-        else:
-            yield a.data.swapaxes(-1, -2) @ g
+        yield g @ b.data.T
+        # one weight for every row of a stack: sum over them
+        yield a.data.reshape(-1, k).T @ g.reshape(-1, n)
         yield g.reshape(-1, n).sum(axis=0)  # drawn only when bias is an input
 
     return _record(Tensor(y), (a, b) if bias is None else (a, b, bias), grads)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a[..., m, k] @ b[..., n, k]^T over equal leading axes, if any; used for
-    attention scores and tied decoding."""
-    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
-            or a.data.shape[-1] != b.data.shape[-1]):
+    """a[m, k] @ b[n, k]^T; used for tied decoding and InfoNCE similarities."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise DimensionError(f"matmul_t: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def grads(g):
         yield g @ b.data
-        yield g.swapaxes(-1, -2) @ a.data
+        yield g.T @ a.data
 
-    return _record(Tensor(a.data @ b.data.swapaxes(-1, -2)), (a, b), grads)
-
-
-def split_heads(x: Tensor, n_seq: int, n_heads: int) -> Tensor:
-    """[n_seq*R, n_heads*dh] rows -> [n_seq, n_heads, R, dh] blocks, one per sequence and head."""
-    n, w = x.data.shape
-    if n % n_seq or w % n_heads:
-        raise DimensionError(f"split_heads: {x.data.shape} does not split into "
-                             f"{n_seq} sequences x {n_heads} heads")
-    r, dh = n // n_seq, w // n_heads
-    out = Tensor(x.data.reshape(n_seq, r, n_heads, dh).transpose(0, 2, 1, 3))
-    return _record(out, (x,), lambda g: (g.transpose(0, 2, 1, 3).reshape(n, w),))
+    return _record(Tensor(a.data @ b.data.T), (a, b), grads)
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[n_seq, n_heads, R, dh] -> [n_seq*R, n_heads*dh]; the inverse of split_heads."""
-    if x.data.ndim != 4:
-        raise DimensionError(f"merge_heads expects [B, H, R, dh], got {x.data.shape}")
-    b, h, r, dh = x.data.shape
-    out = Tensor(x.data.transpose(0, 2, 1, 3).reshape(b * r, h * dh))
-    return _record(out, (x,), lambda g: (g.reshape(b, r, h, dh).transpose(0, 2, 1, 3),))
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int,
+              query_rows: Optional[np.ndarray] = None) -> Tensor:
+    """Causal multi-head self-attention over B sequences of ``seq_len`` rows.
+
+    ``k`` and ``v`` are [B * seq_len, d] rows, sequence b at rows
+    b * seq_len onwards; each of the ``n_heads`` heads reads a d / n_heads
+    column block. A query at position t of its sequence sees the keys at
+    positions 0..t of that sequence. Without ``query_rows`` every row is a
+    query: ``q`` has k's shape, and so has the result. ``query_rows`` gives
+    one query position per sequence instead, an int array [B]: ``q`` is the
+    stack of those rows, [B, 1, d], and so is the result.
+
+    The forward is split heads, q @ k^T, scale by 1/sqrt(d / n_heads), mask,
+    softmax, @ v and merge heads, as one tape record; the backward is written
+    out and keeps only the probabilities. Each step is the numpy expression
+    that step's single op uses, so the bits equal those of the chain of ops.
+    """
+    if k.data.ndim != 2 or v.data.shape != k.data.shape:
+        raise DimensionError(f"attention: keys {k.data.shape} and values {v.data.shape} "
+                             f"must be the same [N, d] rows")
+    n, d = k.data.shape
+    if n % seq_len or d % n_heads:
+        raise DimensionError(f"attention: {k.data.shape} does not split into sequences of "
+                             f"{seq_len} rows x {n_heads} heads")
+    b, dh = n // seq_len, d // n_heads
+
+    def split(t):  # [B * R, d] rows -> [B, H, R, dh] blocks
+        return t.reshape(b, seq_len, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # the inverse of split
+        return t.transpose(0, 2, 1, 3).reshape(n, d)
+
+    if query_rows is None:
+        q_shape, pos, split_q, merge_q = (n, d), np.arange(seq_len)[:, None], split, merge
+    else:
+        query_rows = np.asarray(query_rows, dtype=np.int64)
+        if query_rows.shape != (b,) or query_rows.min() < 0 or query_rows.max() >= seq_len:
+            raise DimensionError(f"attention: query_rows must be one position in "
+                                 f"[0, {seq_len}) per sequence, got {query_rows}")
+        q_shape, pos = (b, 1, d), query_rows.reshape(b, 1, 1, 1)
+        # With one query row per sequence, splitting and merging heads are reshapes.
+        split_q = lambda t: t.reshape(b, n_heads, 1, dh)  # noqa: E731
+        merge_q = lambda t: t.reshape(b, 1, d)  # noqa: E731
+    if q.data.shape != q_shape:
+        raise DimensionError(f"attention: queries must be {q_shape}, got {q.data.shape}")
+    scale_by = 1.0 / math.sqrt(dh)
+    q4, k4, v4 = split_q(q.data), split(k.data), split(v.data)
+    s = q4 @ k4.swapaxes(-1, -2)
+    s *= scale_by
+    s += np.where(np.arange(seq_len) > pos, -np.inf, 0.0).astype(s.dtype)
+    p = _softmax(s)
+
+    def grads(g):
+        g4 = split_q(g)
+        gs = g4 @ v4.swapaxes(-1, -2)
+        gv = p.swapaxes(-1, -2) @ g4
+        gs -= (p * gs).sum(axis=-1, keepdims=True)  # the softmax backward
+        gs *= p
+        gs *= scale_by
+        yield merge_q(gs @ k4)
+        yield merge(gs.swapaxes(-1, -2) @ q4)
+        yield merge(gv)
+
+    return _record(Tensor(merge_q(p @ v4)), (q, k, v), grads)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -209,11 +260,18 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     return _record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """The stable softmax over the last axis, as a fresh array: subtract the
+    row max, exp, divide by the row sum. Rows may hold -inf (masked) entries."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis. Rows may contain -inf (masked) entries."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(x.data)
     return _record(Tensor(p), (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
@@ -228,9 +286,7 @@ def softmax_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         bad = targets[(targets < 0) | (targets >= v)][0]
         raise IndexError(f"target id {bad} out of range [0, {v})")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(logits.data)
     rows = np.arange(n)
     nll = -np.log(p[rows, targets])
 

@@ -102,18 +102,18 @@ CHECKS: Dict[str, Callable] = {
     "add_const": _weighted_check(lambda x: nm.add_const(x, np.eye(4, 5)), (4, 5)),
     "mul": _weighted_check(nm.mul, (4, 4), (4, 4)),
     "matmul": _weighted_check(nm.matmul, (4, 6), (6, 5)),
-    # attention's forms: 2 sequences x 3 heads on leading axes
-    "matmul_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4)),
     # the linear layers: a bias on the last axis, folded into the product
     "matmul_bias": _weighted_check(nm.matmul, (4, 6), (6, 5), (5,)),
-    "matmul_bias_batched": _weighted_check(nm.matmul, (2, 3, 4, 5), (2, 3, 5, 4), (4,)),
     # the last layer's form at one row per sequence: a stack of rows, one weight
     "matmul_rows": _weighted_check(nm.matmul, (3, 1, 5), (5, 4), (4,)),
     "matmul_t": _weighted_check(nm.matmul_t, (3, 4), (5, 4)),
-    "matmul_t_batched": _weighted_check(nm.matmul_t, (2, 3, 4, 5), (2, 3, 6, 5)),
-    # 2 sequences of 3 rows, 2 heads of width 4
-    "split_heads": _weighted_check(lambda x: nm.split_heads(x, 2, 2), (6, 8)),
-    "merge_heads": _weighted_check(nm.merge_heads, (2, 2, 3, 4)),
+    # 2 sequences of 3 rows, 2 heads of width 4, every row a query
+    "attention": _weighted_check(lambda q, k, v: nm.attention(q, k, v, 2, 3),
+                                 (6, 8), (6, 8), (6, 8)),
+    # 3 sequences of 4 rows, one query each, under its own position's mask row
+    "attention_rows": _weighted_check(
+        lambda q, k, v: nm.attention(q, k, v, 2, 4, np.array([3, 0, 2])),
+        (3, 1, 8), (12, 8), (12, 8)),
     "relu": _check_relu,
     "layer_norm": _weighted_check(nm.layer_norm, (5, 8), (8,), (8,)),
     # a fresh generator of one seed on every call: the same mask each time
