@@ -7,7 +7,7 @@ objective over temperature-scaled cosine similarities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +82,7 @@ class ContrastiveConfig:
     batch_size: int = 64
     steps: int = 200
     lr: float = 1e-3
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.tau <= 0:

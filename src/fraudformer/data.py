@@ -424,6 +424,8 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
     """Parse a corpus file one user at a time, as (line number, user) pairs; a
     malformed line fails with its line number when the reader reaches it.
 
+    Each line is a JSON object. ``user_id`` must be a nonempty JSON string
+    with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
     ``label`` must be a JSON integer >= 0 and ``anomaly_onset`` a JSON
     integer or null. With ``cardinalities`` every event must have one token
     per dimension, each in [0, V_d).
@@ -438,9 +440,15 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise SchemaError(f"line {lineno}: a record must be a JSON object")
             for key in ("user_id", "attrs", "label", "anomaly_onset"):
                 if key not in rec:
                     raise SchemaError(f"line {lineno}: missing field {key!r}")
+            user_id = rec["user_id"]
+            if type(user_id) is not str or not user_id or any(c in user_id for c in ',"\r\n'):
+                raise SchemaError(f"line {lineno}: field 'user_id' must be a nonempty string "
+                                  f"without ',', '\"', CR or LF, got {user_id!r}")
             attrs = rec["attrs"]
             if not isinstance(attrs, list) or not attrs:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
@@ -468,7 +476,7 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
                 raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
                                   f"or null, got {onset!r}")
             try:
-                seq = BehaviorSequence(str(rec["user_id"]), ids, label, onset)
+                seq = BehaviorSequence(user_id, ids, label, onset)
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from exc
             yield lineno, seq

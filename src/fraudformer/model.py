@@ -11,7 +11,7 @@ table, so there are no separate decode matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,7 +289,7 @@ class PretrainConfig:
     steps: int = 400
     batch_size: int = 32
     lr: float = 3e-3
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.steps < 1:

@@ -1,13 +1,15 @@
 """Differentiable primitives.
 
 Each op computes its numpy forward and hands the result to ``_record`` with
-its inputs and ``grads``, a function from the output's gradient to one
-contribution per input; ``_record`` does all gradient bookkeeping. No
-implicit broadcasting beyond the patterns spelled out per op (``matmul``'s
-bias and its stack of single rows, ``scale``'s and ``add_const``'s
-constants); reshape explicitly otherwise. Causal multi-head attention is one
-op, ``attention``, with its backward written out: of its [B, H, R, R]
-intermediates it keeps only the probabilities.
+its inputs and ``grads``, a function from the output's gradient to one dense
+array per input, of that input's shape. ``_record`` does all gradient
+bookkeeping: an input's first contribution becomes its gradient (as a copy),
+and each later one is added to it. No implicit broadcasting beyond the
+patterns spelled out per op (``matmul``'s bias and its stack of single rows,
+``scale``'s and ``add_const``'s constants); reshape explicitly otherwise.
+Causal multi-head attention is one op, ``attention``, with its backward
+written out: of its [B, H, R, R] intermediates it keeps only the
+probabilities.
 """
 
 from __future__ import annotations
@@ -29,34 +31,16 @@ __all__ = [
 ]
 
 
-def _accumulate(grad: np.ndarray, contribution) -> None:
-    """Add one contribution of ``grads`` to an input's gradient, in place."""
-    if isinstance(contribution, tuple):
-        index, values = contribution
-        if isinstance(index, np.ndarray):
-            # Rows by integer index, repeats accumulating: one 1-D np.add.at
-            # on a flat view, numpy's fast path. Cell j of row i is flat
-            # cell i*w + j, and each cell still sums its rows in index
-            # order, so the bits are those of np.add.at(grad, index, values).
-            assert grad.flags.c_contiguous, "a flat copy would drop the update"
-            w = math.prod(grad.shape[1:])
-            np.add.at(grad.reshape(-1), (index.reshape(-1, 1) * w + np.arange(w)).reshape(-1),
-                      values.reshape(-1))
-        else:
-            grad[index] += values
-    else:
-        grad += contribution
-
-
 def _record(out: Tensor, inputs: Sequence[Tensor],
             grads: Callable[[np.ndarray], Iterable]) -> Tensor:
     """Put ``out``'s backward on the active tape when any input needs a gradient.
 
-    ``grads(g)`` maps out's gradient ``g`` to one contribution per input, in
-    order: an array (or scalar) added to the input's gradient, or an
-    ``(index, values)`` pair added in place at ``index``, where an integer
-    array index accumulates repeated rows. ``grads`` may be a generator; it
-    is drawn once per input, in order.
+    ``grads(g)`` maps out's gradient ``g`` to one dense array per input, in
+    order, of that input's shape. ``grads`` may be a generator; it is drawn
+    once per input, in order. An input's first contribution is copied into a
+    fresh gradient, the bits of ``0 + c``, because ops may hand one array, or
+    views of it, to several inputs. Each later contribution is added to it in
+    place.
     """
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -64,16 +48,11 @@ def _record(out: Tensor, inputs: Sequence[Tensor],
 
         def run():
             if out.grad is not None:
-                # Input gradients are allocated before the contributions are
-                # computed, the order of the old per-op backwards: computing
-                # the contributions first raised the train benchmark's peak
-                # RSS by about 1% (heap placement, not a larger live heap).
-                for t in inputs:
-                    if t.requires_grad:
-                        t.ensure_grad()
                 for t, contribution in zip(inputs, grads(out.grad)):
-                    if t.requires_grad:
-                        _accumulate(t.grad, contribution)
+                    if t.requires_grad and t.grad is None:
+                        t.grad = np.add(contribution, 0.0, out=np.empty_like(t.data))
+                    elif t.requires_grad:
+                        t.grad += contribution
             # The tape runs in reverse, so every consumer of out has run.
             out.grad = None
 
@@ -360,8 +339,12 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[..., start:stop].copy())
-    return _record(out, (x,), lambda g: (((Ellipsis, slice(start, stop)), g),))
+    def grads(g):
+        gx = np.zeros_like(x.data)
+        gx[..., start:stop] = g
+        return (gx,)
+
+    return _record(Tensor(x.data[..., start:stop].copy()), (x,), grads)
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -372,7 +355,19 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= x.data.shape[0]):
         raise IndexError(f"row index out of range [0, {x.data.shape[0]})")
-    return _record(Tensor(x.data[idx]), (x,), lambda g: ((idx, g),))
+
+    def grads(g):
+        # Repeated rows accumulate: one 1-D np.add.at on a flat view of fresh
+        # zeros, numpy's fast path. Cell j of row i is flat cell i*w + j, and
+        # each cell still sums its rows in index order, so the bits are those
+        # of np.add.at(gx, idx, g).
+        gx = np.zeros_like(x.data)
+        w = math.prod(x.data.shape[1:])
+        np.add.at(gx.reshape(-1), (idx.reshape(-1, 1) * w + np.arange(w)).reshape(-1),
+                  g.reshape(-1))
+        return (gx,)
+
+    return _record(Tensor(x.data[idx]), (x,), grads)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -408,7 +403,8 @@ def row_diff(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    return _record(Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype)), (x,), lambda g: (float(g),))
+    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
+    return _record(out, (x,), lambda g: (np.full_like(x.data, g),))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -28,7 +28,7 @@ def active_tape() -> Optional["GradTape"]:
 
 
 class Tensor:
-    """N-dimensional array node. ``grad`` is allocated lazily on first use."""
+    """N-dimensional array node. ``grad`` is None until a backward reaches it."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -47,11 +47,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -97,8 +92,7 @@ class GradTape:
         if self._consumed:
             raise RuntimeError("tape already consumed")
         self._consumed = True
-        loss.ensure_grad()
-        loss.grad += np.ones_like(loss.data)
+        loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
             records.pop()()

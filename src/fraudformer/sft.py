@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,7 +158,7 @@ class SftConfig:
     backbone_lr_mult: float = 0.1
     batch_size: int = 32
     pos_fraction: float = 0.25
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.epochs < 1:

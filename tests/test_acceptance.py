@@ -108,7 +108,7 @@ def tying_probe(params, cfg, ids):
     h = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     dec_before = reconstruct_logits(h, params, cfg)[0].data.copy()
     opt = Adam(params, lr=0.05)
-    params["embed.0"].ensure_grad()[:] = 1.0
+    params["embed.0"].grad = np.ones_like(params["embed.0"].data)
     opt.step()
     emb_after = encode_batch([ids], params, cfg).x.data
     h2 = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)

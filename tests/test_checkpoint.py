@@ -149,7 +149,7 @@ def test_tying_preserved_after_reload(tmp_path):
     h = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     before = reconstruct_logits(h, params, cfg)[0].data.copy()
     opt = Adam(params, lr=0.05)
-    params["embed.0"].ensure_grad()[:] = 1.0
+    params["embed.0"].grad = np.ones_like(params["embed.0"].data)
     opt.step()
     h2 = causal_forward(encode_batch([ids], params, cfg).x, params, cfg)
     after = reconstruct_logits(h2, params, cfg)[0].data

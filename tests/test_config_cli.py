@@ -380,6 +380,18 @@ def test_cli_score_rejects_a_negative_label_naming_the_line(scoring_run, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("user_id", ["a,b", None], ids=["comma", "null"])
+def test_cli_score_rejects_an_id_a_csv_cannot_carry(scoring_run, tmp_path, capsys, user_id):
+    records = [dict(r) for r in scoring_run["records"]]
+    records[1]["user_id"] = user_id
+    data = write_records(tmp_path / "d.jsonl", records)
+    out = tmp_path / "s.csv"
+    assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
+                           "--data", str(data), "--out", str(out)]) == 1
+    assert "line 2: field 'user_id'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ("user_id,value\nu0000000,0.5\n", "line 1: the header needs columns user_id and score"),
     ("user_id,score\nu0000000,0.5\nu0000001,abc\n", "line 3: could not convert"),

@@ -167,7 +167,7 @@ def test_contrastive_rejects_zero_dropout(tiny_corpus):
     params = init_params(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="dropout"):
         finetune_contrastive(params, cfg, tiny_corpus,
-                             ContrastiveConfig(batch_size=8, steps=1))
+                             ContrastiveConfig(batch_size=8, steps=1, seed=0))
 
 
 def test_contrastive_rejects_small_corpus(tiny_corpus):
@@ -175,7 +175,7 @@ def test_contrastive_rejects_small_corpus(tiny_corpus):
     params = init_params(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="batch"):
         finetune_contrastive(params, cfg, tiny_corpus[:4],
-                             ContrastiveConfig(batch_size=8, steps=1))
+                             ContrastiveConfig(batch_size=8, steps=1, seed=0))
 
 
 def test_contrastive_reduces_loss_and_is_deterministic(tiny_corpus):

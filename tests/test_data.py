@@ -294,15 +294,22 @@ def test_jsonl_rejects_out_of_vocab_id(tmp_path):
 
 
 def test_jsonl_rejects_malformed_json(tmp_path):
+    good = json.dumps({"user_id": "u0", "attrs": [[1, 1]], "label": 0, "anomaly_onset": None})
+    not_object = "a record must be a JSON object"
     p = tmp_path / "bad.jsonl"
-    p.write_text("{not json\n")
-    with pytest.raises(SchemaError, match="line 1"):
-        read_jsonl(p)
+    for line, message in [("{not json", "invalid JSON"), ("123", not_object),
+                          ('["user_id","attrs","label","anomaly_onset"]', not_object),
+                          ('"u0"', not_object), ("null", not_object)]:
+        p.write_text(good + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match=f"line 2: {message}"):
+            read_jsonl(p)
 
 
 @pytest.mark.parametrize("field,value", [
     ("label", -1), ("label", "2"), ("label", 1.7), ("label", True), ("label", None),
     ("anomaly_onset", 1.6), ("anomaly_onset", "1"),
+    ("user_id", None), ("user_id", 7), ("user_id", ""), ("user_id", "a,b"),
+    ("user_id", 'a"b'), ("user_id", "a\rb"), ("user_id", "a\nb"), ("user_id", ["u0"]),
 ])
 def test_jsonl_label_and_onset_must_be_json_integers(tmp_path, field, value):
     good = {"user_id": "u0", "attrs": [[1, 1], [2, 2], [3, 3]], "label": 1, "anomaly_onset": 1}

@@ -181,7 +181,7 @@ def test_optimizer_step_on_embedding_moves_decode_logits():
     h = hidden(ids, params, cfg)
     before = [lg.data.copy() for lg in reconstruct_logits(h, params, cfg)]
     opt = Adam(params, lr=0.05)
-    params["embed.0"].ensure_grad()[:] = 1.0
+    params["embed.0"].grad = np.ones_like(params["embed.0"].data)
     opt.step()
     h2 = hidden(ids, params, cfg)
     after = reconstruct_logits(h2, params, cfg)

@@ -263,26 +263,21 @@ def test_take_rows_index_matrix_gives_a_block():
     np.testing.assert_array_equal(out, [[[2, 3], [4, 5]], [[8, 9], [10, 11]]])
 
 
-@pytest.mark.parametrize("grad_shape,idx", [
+@pytest.mark.parametrize("table_shape,idx", [
     ((33, 64), np.tile(np.arange(33), 32)),           # 1-D, repeats: the pos table
     ((6, 3), np.array([[1, 2, 3], [3, 4, 5]])),        # 2-D index: a [2, 3] block
     ((9, 4), np.array([[8], [0], [8], [3], [8]])),     # [B, 1] over [N, d] rows
     ((7,), np.array([1, 1, 3, 6, 1])),                 # a 1-D table
 ], ids=["1d_repeats", "2d", "b_by_1", "1d_table"])
-def test_flat_scatter_is_bitwise_np_add_at(grad_shape, idx):
+def test_flat_scatter_is_bitwise_np_add_at(table_shape, idx):
     rng = np.random.default_rng(12)
-    start = rng.standard_normal(grad_shape).astype(np.float32)
-    values = rng.standard_normal(idx.shape + grad_shape[1:]).astype(np.float32)
-    got, want = start.copy(), start.copy()
-    ops._accumulate(got, (idx, values))
+    table = Tensor(rng.standard_normal(table_shape).astype(np.float32), requires_grad=True)
+    values = rng.standard_normal(idx.shape + table_shape[1:]).astype(np.float32)
+    with GradTape() as tape:
+        tape.backward(ops.sum_all(ops.mul(ops.take_rows(table, idx), Tensor(values))))
+    want = np.zeros_like(table.data)
     np.add.at(want, idx, values)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_flat_scatter_refuses_a_gradient_it_cannot_view_flat():
-    grad = np.zeros((4, 3), dtype=np.float32).T  # its flat reshape is a copy
-    with pytest.raises(AssertionError, match="copy"):
-        ops._accumulate(grad, (np.array([0, 2]), np.ones((2, 4), dtype=np.float32)))
+    assert table.grad.tobytes() == want.tobytes()
 
 
 def test_softmax_rows_sums_to_one():
@@ -310,6 +305,22 @@ def test_fanout_accumulates_both_paths():
     # Backward frees each record and each op output's gradient as it goes.
     assert len(tape) == 0
     assert y.grad is None and loss.grad is None
+
+
+@pytest.mark.parametrize("total", [
+    lambda a, b, c: ops.add(ops.add(a, b), a),
+    lambda a, b, c: ops.add_n([ops.add_n([a, b, c]), a]),
+], ids=["add", "add_n"])
+def test_fanout_inputs_get_gradients_of_their_own(total):
+    # add and add_n hand one g to every input; a, fed twice, gets a second
+    # contribution added in place, which must not reach b or c.
+    a, b, c = (t64(np.zeros(3)) for _ in range(3))
+    with GradTape() as tape:
+        tape.backward(ops.sum_all(total(a, b, c)))
+    np.testing.assert_array_equal(a.grad, 2.0)
+    np.testing.assert_array_equal(b.grad, 1.0)
+    grads = [t.grad for t in (a, b, c) if t.grad is not None]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(grads) for y in grads[i + 1:])
 
 
 def test_second_backward_on_a_consumed_tape_raises():
@@ -404,10 +415,10 @@ def test_backward_skips_constants_and_scatters_onto_a_held_gradient():
                               ops.sum_all(ops.mul(tied, w_tied))))
     # Constant inputs get no gradient.
     assert all(t.grad is None for t in (h, w_rows, w_tied))
-    want = np.zeros_like(table.data)
-    want += w_tied.data.T @ h.data
-    np.add.at(want, idx, w_rows.data)
-    np.testing.assert_array_equal(table.grad, want)
+    # The tied part is adopted; the rows, scattered into zeros, are added to it.
+    scattered = np.zeros_like(table.data)
+    np.add.at(scattered, idx, w_rows.data)
+    np.testing.assert_array_equal(table.grad, w_tied.data.T @ h.data + scattered)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -427,7 +438,7 @@ def _adam_with_grads(lr, **grads):
     holding the given gradient."""
     params = {name: Tensor(np.ones(np.shape(g)), requires_grad=True) for name, g in grads.items()}
     for name, g in grads.items():
-        params[name].ensure_grad()[...] = g
+        params[name].grad = np.array(g, dtype=np.float64)
     return Adam(params, lr=lr), params
 
 
@@ -468,7 +479,7 @@ def test_adam_determinism():
         params = {"w": Tensor(rng.standard_normal(4), requires_grad=True)}
         opt = Adam(params, lr=0.01)
         for _ in range(5):
-            params["w"].ensure_grad()[:] = rng.standard_normal(4)
+            params["w"].grad = rng.standard_normal(4)
             opt.step()
             opt.zero_grad()
         return params["w"].data.copy()
@@ -498,7 +509,7 @@ def test_adam_lr_mult_zero_freezes_named_param():
     # Names match exactly: the "head" entry is no prefix of "head.w".
     opt = Adam(params, lr=0.1, lr_mult={"backbone.w": 0.0, "head": 0.0})
     for p in params.values():
-        p.ensure_grad()[:] = 1.0
+        p.grad = np.ones_like(p.data)
     opt.step()
     np.testing.assert_array_equal(params["backbone.w"].data, before)
     assert not np.array_equal(params["head.w"].data, before)

@@ -189,10 +189,10 @@ def test_sampler_rejects_empty_pools():
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SftConfig(batch_size=8, pos_fraction=0.0)
-    with pytest.raises(ValueError):
-        SftConfig(batch_size=16, pos_fraction=0.01)  # rounds to zero positives
+    with pytest.raises(ValueError, match="pos_fraction must be in"):
+        SftConfig(batch_size=8, pos_fraction=0.0, seed=0)
+    with pytest.raises(ValueError, match="one positive and one negative"):
+        SftConfig(batch_size=16, pos_fraction=0.01, seed=0)  # rounds to zero positives
 
 
 # --- fine-tuning -----------------------------------------------------------------

@@ -34,14 +34,14 @@ MODEL = ModelConfig.for_vocab(default_vocab(), d_model=16, n_layers=1, n_heads=2
 
 TRAINERS = {
     "pretrain": lambda corpus: pretrain_loop(
-        corpus, MODEL, PretrainConfig(steps=2, batch_size=8)),
+        corpus, MODEL, PretrainConfig(steps=2, batch_size=8, seed=0)),
     "sft": lambda corpus: finetune_sft(
         init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
         AnomalyHeadConfig(filters=4, hidden=8),
-        SftConfig(epochs=1, batch_size=8)),
+        SftConfig(epochs=1, batch_size=8, seed=0)),
     "contrastive": lambda corpus: finetune_contrastive(
         init_params(MODEL, np.random.default_rng(0)), MODEL, corpus,
-        ContrastiveConfig(batch_size=8, steps=2)),
+        ContrastiveConfig(batch_size=8, steps=2, seed=0)),
 }
 
 
