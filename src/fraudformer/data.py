@@ -126,8 +126,7 @@ class BehaviorSequence:
 
     def __post_init__(self):
         ids = self.ids
-        if not (isinstance(ids, np.ndarray) and ids.ndim == 2
-                and np.issubdtype(ids.dtype, np.integer)):
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 2 and ids.dtype.kind in "iu"):
             raise ValueError(f"sequence {self.user_id!r} needs a 2-D integer ids array")
         if ids.shape[0] == 0:
             raise ValueError(f"sequence {self.user_id!r} has no events")
@@ -426,11 +425,12 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
 
     Each line is a JSON object. ``user_id`` must be a nonempty JSON string
     with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
-    ``label`` must be a JSON integer >= 0 and ``anomaly_onset`` a JSON
-    integer or null. With ``cardinalities`` every event must have one token
-    per dimension, each in [0, V_d).
+    ``label`` must be a JSON integer >= 0, ``anomaly_onset`` a JSON integer
+    or null, and ``attrs`` rows of JSON integer token ids of equal length.
+    With ``cardinalities`` every event must have one token per dimension,
+    each in [0, V_d).
     """
-    cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.int64)
+    cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.uint64)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -453,17 +453,29 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
             if not isinstance(attrs, list) or not attrs:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
             try:
-                ids = np.array(attrs, dtype=np.int64)
+                ids = np.array(attrs)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be rows of integer "
                                   f"token ids of equal length: {exc}") from exc
             if ids.ndim != 2:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be a list of rows")
+            # np.array reads 1.7 and "3" into float and str arrays but [1, true]
+            # into int64, so a line that spells a bool is checked value by value.
+            if ids.dtype != np.int64 or "true" in line or "false" in line:
+                for t, row in enumerate(attrs):
+                    for d, value in enumerate(row):
+                        if type(value) is not int:  # a bool is an int subclass
+                            raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}] must be "
+                                              f"an integer token id, got {value!r}")
+                if ids.dtype != np.int64:
+                    raise SchemaError(f"line {lineno}: field 'attrs' has a token id outside "
+                                      f"the 64-bit integers")
             if cards is not None:
                 if ids.shape[1] != cards.size:
                     raise SchemaError(f"line {lineno}: field 'attrs' rows have "
                                       f"{ids.shape[1]} values, expected {cards.size}")
-                bad = (ids < 0) | (ids >= cards)
+                # One comparison: a negative id reads as a huge unsigned one.
+                bad = ids.view(np.uint64) >= cards
                 if bad.any():
                     t, d = np.argwhere(bad)[0]
                     raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "

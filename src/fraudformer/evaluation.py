@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,10 @@ def _ranked(entries: Sequence[RankEntry]) -> List[RankEntry]:
 
 def topk_rank_metrics(entries: Sequence[RankEntry],
                       k_fractions: Sequence[float]) -> List[dict]:
-    """Precision/recall (in %) over the top ceil(k*N) scores per k."""
+    """Precision/recall (in %) over the top ceil(k*N) scores per k.
+
+    k*N is taken exactly at the decimal k is written as: in floats 0.07 * 100
+    is 7.000000000000001, whose ceiling would rank 8 users as the top 7%."""
     if not entries:
         raise ValueError("no rank entries")
     for k in k_fractions:
@@ -75,7 +79,7 @@ def topk_rank_metrics(entries: Sequence[RankEntry],
         raise ValueError("recall undefined: no positive entries")
     rows = []
     for k in k_fractions:
-        cut = math.ceil(k * n)
+        cut = math.ceil(Fraction(str(k)) * n)
         hits = sum(e.true_label for e in ranked[:cut])
         rows.append({
             "k": k, "cut": cut, "hits": hits,

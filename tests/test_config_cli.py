@@ -3,13 +3,16 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraudformer.cli import build_parser, run_subcommand
+from fraudformer.cli import build_parser, keep_freed_heap, run_subcommand
 from fraudformer.config import ConfigError, DEFAULTS, load_run_config
 from fraudformer.contrastive import ContrastiveConfig
 from fraudformer.data import GeneratorConfig
@@ -571,6 +574,56 @@ def test_cli_gen_data_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch)
     out = tmp_path / "d.jsonl"
     assert run_subcommand(["gen-data", "--config", cfgp, "--out", str(out)]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# Run in a fresh interpreter: makes a default-size sft checkpoint and a
+# 256-user corpus (4 batches of 64), scores it twice and prints the minor
+# page faults each score call took.
+SCORE_FAULTS_SCRIPT = r"""
+import contextlib, io, json, resource, sys
+from pathlib import Path
+import numpy as np
+from fraudformer.checkpoint import save_checkpoint
+from fraudformer.cli import run_subcommand
+from fraudformer.config import load_run_config
+from fraudformer.data import read_vocab
+from fraudformer.model import init_params
+from fraudformer.sft import init_head_params
+
+d = Path(sys.argv[1])
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_subcommand([str(a) for a in argv]) == 0, argv
+(d / "pop.json").write_text(json.dumps({"seed": 3, "data": {"n_users": 256}}))
+run("gen-data", "--config", d / "pop.json", "--out", d / "pop.jsonl")
+cfg = load_run_config()
+model = cfg.model_config(read_vocab(d / "pop.jsonl.vocab.json"))
+head = cfg.head_config()
+rng = np.random.default_rng(0)
+params = {**init_params(model, rng), **init_head_params(head, model.d_model, rng)}
+save_checkpoint(d / "sft.ckpt", params, model, head=head, kind="sft")
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run("score", "--checkpoint", d / "sft.ckpt", "--data", d / "pop.jsonl", "--out", d / "s.csv")
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not keep_freed_heap(), reason="the C library has no mallopt")
+def test_cli_score_reuses_freed_heap_across_calls(tmp_path):
+    """A second score call reuses the heap the first one freed. Without the
+    heap policy glibc trims each batch's temporaries and the next batch
+    faults them in again: ~15,000 minor faults per call at 256 users."""
+    import fraudformer
+    env = {**os.environ, "PYTHONPATH": str(Path(fraudformer.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", SCORE_FAULTS_SCRIPT, str(tmp_path)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    first, second = json.loads(child.stdout.splitlines()[-1])
+    assert len((tmp_path / "s.csv").read_text().splitlines()) > 1 + 3 * 64
+    assert second < 1000, f"the score calls took {first} and {second} minor faults"
 
 
 @pytest.mark.parametrize("command,ckpt,accepted", [

@@ -319,6 +319,27 @@ def test_jsonl_label_and_onset_must_be_json_integers(tmp_path, field, value):
         read_jsonl(p, TINY_VOCAB.cardinalities)
 
 
+@pytest.mark.parametrize("layout", ["[[{v}, {v}]]", "[[1, 2], [2, {v}]]"],
+                         ids=["alone", "next-to-integers"])
+@pytest.mark.parametrize("value", ["1.7", "1e0", '"3"', "true"])
+def test_jsonl_token_ids_must_be_json_integers(tmp_path, layout, value):
+    # np.array would read these as 1, 1, 3 and 1; [1, true] even as int64.
+    good = '{"user_id": "u0", "attrs": [[1, 2]], "label": 0, "anomaly_onset": null}'
+    bad = good.replace("u0", "u1").replace("[[1, 2]]", layout.format(v=value))
+    p = tmp_path / "bad.jsonl"
+    p.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(SchemaError, match=r"line 2: field 'attrs'\[.\]\[.\] must be an integer"):
+        read_jsonl(p, TINY_VOCAB.cardinalities)
+
+
+def test_jsonl_token_id_beyond_int64_is_refused(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"user_id": "u0", "attrs": [[1, 9223372036854775808]], "label": 0, '
+                 '"anomaly_onset": null}\n')
+    with pytest.raises(SchemaError, match="line 1: field 'attrs' has a token id outside"):
+        read_jsonl(p)
+
+
 def test_vocab_sidecar_round_trip(tmp_path):
     p = tmp_path / "vocab.json"
     with open(p, "w", encoding="utf-8") as fh:

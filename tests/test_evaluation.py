@@ -84,6 +84,13 @@ def test_topk_ceil_cut_and_tiebreak():
     assert row["cut"] == 2 and row["hits"] == 1
 
 
+def test_topk_cut_is_exact_at_decimal_k():
+    # 0.07 * 100 is 7.000000000000001 in floats; the top 7% of 100 is 7 users.
+    e = entries_from(np.linspace(1.0, 0.01, 100), [1] + [0] * 99)
+    row = topk_rank_metrics(e, [0.07])[0]
+    assert row["cut"] == 7 and row["precision"] == pytest.approx(100 / 7)
+
+
 def test_topk_recall_monotone_in_k():
     rng = np.random.default_rng(1)
     e = entries_from(rng.random(200), rng.random(200) < 0.1)
