@@ -23,7 +23,7 @@ from . import sft as sft_mod
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import (BehaviorSequence, generate_corpus, iter_numbered_jsonl, read_jsonl,
-                   read_vocab, write_jsonl, write_vocab)
+                   read_vocab, window_sample, write_jsonl, write_vocab)
 from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
@@ -244,7 +244,7 @@ def cmd_embed(args) -> int:
         header = ",".join(f"e{i}" for i in range(model.d_model))
         fh.write(f"user_id,{header}\n")
         while chunk := list(itertools.islice(users, EMBED_CHUNK)):
-            ids = [seq.ids[-model.t_max:] for seq in chunk]
+            ids = [window_sample(seq, model.t_max) for seq in chunk]
             vecs = cl.embed_batch(ids, ckpt.params, model).data
             for seq, vec in zip(chunk, vecs):
                 fh.write(seq.user_id + "," + row % tuple(vec.tolist()) + "\n")
@@ -362,9 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Payment-behavior sequence modeling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="run-config JSON")
+    def common(p):
+        p.add_argument("--config", help="run-config JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output path")
 
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finetune_cl)
 
     p = sub.add_parser("score", help="rank users by anomaly score")
-    common(p, config=False)
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(fn=cmd_score)
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("embed", help="export sequence embeddings as CSV")
-    common(p, config=False)
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(fn=cmd_embed)

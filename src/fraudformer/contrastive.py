@@ -39,7 +39,7 @@ def embed_sequence(params: Dict[str, nm.Tensor], cfg: ModelConfig,
     """Embedding of one sequence's most recent ``t_max`` events; with an rng,
     dropout runs so views differ. Without one it is the same bits as the
     sequence's row of any ``embed_batch`` call without one."""
-    ids = seq.ids[-cfg.t_max:]
+    ids = window_sample(seq, cfg.t_max)
     return nm.reshape(embed_batch([ids], params, cfg, rng), (cfg.d_model,))
 
 
@@ -108,7 +108,7 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     curve: List[Tuple[int, float]] = []
     for step, picks in enumerate(batches):
         wrng = child_rng(cfg.seed, "cl-window", step)
-        ids = [window_sample(corpus[i], model_cfg.t_max, wrng).ids for i in picks]
+        ids = [window_sample(corpus[i], model_cfg.t_max, wrng) for i in picks]
         rng_a = child_rng(cfg.seed, "cl-view-a", step)
         rng_b = child_rng(cfg.seed, "cl-view-b", step)
 

@@ -50,7 +50,7 @@ __all__ = [
     "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
     "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
-    "iter_numbered_jsonl", "iter_jsonl", "read_jsonl", "write_jsonl", "read_vocab",
+    "iter_numbered_jsonl", "read_jsonl", "write_jsonl", "read_vocab",
     "write_vocab", "SchemaError",
 ]
 
@@ -164,20 +164,18 @@ def bucketize_amount(amount: float, buckets: int = 16) -> int:
     return 1 + min(int(math.floor(math.log2(1.0 + amount))), buckets - 2)
 
 
-def window_sample(seq: BehaviorSequence, window: int, rng: np.random.Generator) -> BehaviorSequence:
-    """Uniformly sample a contiguous window of length min(window, len).
-
-    The window carries the user's id and events only: no label or onset.
-    """
+def window_sample(seq: BehaviorSequence, window: int,
+                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The ``[min(window, T), D]`` view of ``seq.ids`` that a forward reads:
+    with ``rng``, a uniformly drawn contiguous window; without one, the most
+    recent events."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     n = len(seq)
-    if window >= n:
-        start, stop = 0, n
-    else:
+    start = max(n - window, 0)
+    if rng is not None and window < n:
         start = int(rng.integers(0, n - window + 1))
-        stop = start + window
-    return BehaviorSequence(seq.user_id, seq.ids[start:stop])
+    return seq.ids[start:start + window]
 
 
 @dataclass
@@ -459,6 +457,8 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
                                   f"token ids of equal length: {exc}") from exc
             if ids.ndim != 2:
                 raise SchemaError(f"line {lineno}: field 'attrs' must be a list of rows")
+            if ids.shape[1] == 0:
+                raise SchemaError(f"line {lineno}: field 'attrs' has an event with no tokens")
             # np.array reads 1.7 and "3" into float and str arrays but [1, true]
             # into int64, so a line that spells a bool is checked value by value.
             if ids.dtype != np.int64 or "true" in line or "false" in line:
@@ -494,14 +494,9 @@ def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
             yield lineno, seq
 
 
-def iter_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> Iterator[BehaviorSequence]:
-    """The users of ``iter_numbered_jsonl``, without their line numbers."""
-    return (seq for _, seq in iter_numbered_jsonl(path, cardinalities))
-
-
 def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:
-    """The whole corpus file as a list; see ``iter_jsonl``."""
-    return list(iter_jsonl(path, cardinalities))
+    """The whole corpus file as a list; see ``iter_numbered_jsonl``."""
+    return [seq for _, seq in iter_numbered_jsonl(path, cardinalities)]
 
 
 def write_vocab(fh: TextIO, vocab: VocabSpec) -> None:

@@ -97,16 +97,10 @@ def roc_auc(entries: Sequence[RankEntry]) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC-AUC needs both classes present")
-    # Midranks give the Mann-Whitney U statistic.
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Midranks give the Mann-Whitney U statistic: a group of tied scores
+    # ending at 1-based rank c shares the rank c - (size - 1) / 2.
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(sizes) - (sizes - 1) / 2.0)[group]
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

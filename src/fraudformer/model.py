@@ -311,7 +311,7 @@ def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig, train_cf
     curve: List[Tuple[int, float]] = []
     for step, picks in enumerate(batches):
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
-        ids = [window_sample(corpus[i], cfg.t_max, wrng).ids for i in picks]
+        ids = [window_sample(corpus[i], cfg.t_max, wrng) for i in picks]
         drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
         loss = opt.minimize(lambda: batch_reconstruction_loss(ids, params, cfg, drng))
         curve.append((step, loss))

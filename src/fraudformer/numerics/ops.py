@@ -80,7 +80,8 @@ def scale(x: Tensor, c) -> Tensor:
 
 
 def add_const(x: Tensor, arr: np.ndarray) -> Tensor:
-    """Add a non-learned constant (e.g. an additive attention mask)."""
+    """Add a non-learned constant. No program path calls it; it stays while
+    the benchmark's tracer times it by name."""
     return _record(Tensor(x.data + arr), (x,), lambda g: (g,))
 
 
@@ -249,7 +250,9 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis. Rows may contain -inf (masked) entries."""
+    """Softmax over the last axis. Rows may contain -inf (masked) entries.
+    No program path calls it (``attention`` and ``softmax_ce`` use
+    ``_softmax``); it stays while the benchmark's tracer times it by name."""
     p = _softmax(x.data)
     return _record(Tensor(p), (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 

@@ -44,10 +44,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -6,14 +6,17 @@ trend, then each kernel size extracts local anomaly evidence which a
 global max pool makes length-independent; a small MLP maps the pooled
 features to two logits, normal and anomalous.
 
-The head runs once per batch, on the padded [B, R, d] hidden block: one
-gather of the event rows, one ``row_diff``, and per kernel size k one
-``conv1d``, a relu and a max pool. Conv positions t >= length - k read
-padding, and a 0/1 mask zeroes them after the relu. That is exact: relu
-output is >= 0, every sequence has at least ``min_events`` events and so
-at least one valid position, and a max pool's ties go to the earliest t,
-which is valid. Each sequence's pooled features, and their gradients, are
-therefore those of the sequence run alone.
+The head runs once per batch, on the padded [B, R, d] hidden block as it
+stands: one ``row_diff`` along time, and per kernel size k one ``conv1d``,
+a relu and a max pool. Conv position 0 reads the step from BOS and
+positions t > length - k read padding; a 0/1 mask zeroes them after the
+relu, leaving 1 <= t <= length - k. That is exact: every sequence has at
+least ``min_events`` events and so at least one valid position, relu output
+is >= 0 and a masked position holds 0, so the pool keeps the largest valid
+value. When every valid value is 0 the pool's tie goes to the masked
+position 0, whose gradient is zero, as relu's is at a valid 0. Each
+sequence's pooled features, and their gradients, are therefore those of
+the sequence run alone.
 
 As in pretraining, dropout (backbone and head) runs iff an rng is passed:
 training passes one per step, scoring passes none.
@@ -67,17 +70,14 @@ class AnomalyHeadConfig:
         """Raise unless a window of ``t_max`` events, ``owner``'s, is long
         enough for the head: its largest kernel plus one."""
         if self.min_events > t_max:
-            raise ValueError(f"sft.kernel_sizes: the largest kernel, {self.min_diff_len}, needs "
-                             f"windows of {self.min_events} events, more than {owner} {t_max}")
-
-    @property
-    def min_diff_len(self) -> int:
-        return max(self.kernel_sizes)
+            raise ValueError(f"sft.kernel_sizes: the largest kernel, {max(self.kernel_sizes)}, "
+                             f"needs windows of {self.min_events} events, more than "
+                             f"{owner} {t_max}")
 
     @property
     def min_events(self) -> int:
         """Shortest sequence the head can score: one more than its largest kernel."""
-        return self.min_diff_len + 1
+        return max(self.kernel_sizes) + 1
 
     @property
     def feature_width(self) -> int:
@@ -116,16 +116,16 @@ def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
     if int(lengths.min()) < cfg.min_events:
         raise SequenceTooShortError(
             f"difference sequence of length {int(lengths.min()) - 1} is shorter than "
-            f"the largest kernel ({cfg.min_diff_len}); need >= {cfg.min_events} events")
+            f"the largest kernel ({cfg.min_events - 1}); need >= {cfg.min_events} events")
     n_seq = len(lengths)
     r = h.data.shape[0] // n_seq
-    # [B, R-1, d]: every sequence's event rows, BOS dropped.
-    events = nm.take_rows(h, np.arange(n_seq)[:, None] * r + np.arange(1, r))
-    hdiff = nm.row_diff(events)
+    # [B, R-1, d]; row 0 of each sequence is the step from BOS.
+    hdiff = nm.row_diff(nm.reshape(h, (n_seq, r, h.data.shape[1])))
     pooled = []
     for k in cfg.kernel_sizes:
         conv = nm.relu(nm.conv1d(hdiff, params[f"head.conv{k}.w"], params[f"head.conv{k}.b"]))
-        valid = np.arange(r - 1 - k)[None, :, None] < (lengths - k)[:, None, None]
+        t = np.arange(r - k)[None, :, None]
+        valid = (t >= 1) & (t <= (lengths - k)[:, None, None])
         pooled.append(nm.max_over_time(nm.scale(conv, valid.astype(conv.data.dtype))))
     return nm.concat_cols(pooled)
 
@@ -210,7 +210,7 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
         losses, hits, total = [], 0, 0
         for batch_seqs in epoch_batches(pos, neg, cfg, epoch):
             wrng = child_rng(cfg.seed, "sft-window", opt.t)
-            ids = [window_sample(s, model_cfg.t_max, wrng).ids for s in batch_seqs]
+            ids = [window_sample(s, model_cfg.t_max, wrng) for s in batch_seqs]
             labels = np.array([int(s.label > 0) for s in batch_seqs])
             drng = child_rng(cfg.seed, "sft-dropout", opt.t)
 
@@ -240,7 +240,7 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     out = []
     users = iter(users)
     while chunk := list(itertools.islice(users, batch_size)):
-        ids = [s.ids[-model_cfg.t_max:] for s in chunk]
+        ids = [window_sample(s, model_cfg.t_max) for s in chunk]
         logits = batch_class_logits(ids, params, model_cfg, head_cfg)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)

@@ -110,9 +110,12 @@ def write_cfg(tmp_path, extra=None):
 
 
 def test_cli_bad_flags_exit_2(capsys):
-    # Training is float32 only, so pretrain has no precision flag.
+    # Training is float32 only, so pretrain has no precision flag; score and
+    # embed read no config and draw nothing, so they take no seed.
     for argv in (["no-such-command"],
-                 ["pretrain", "--data", "d", "--vocab", "v", "--out", "o", "--mode", "f64"]):
+                 ["pretrain", "--data", "d", "--vocab", "v", "--out", "o", "--mode", "f64"],
+                 ["score", "--checkpoint", "c", "--data", "d", "--out", "o", "--seed", "1"],
+                 ["embed", "--checkpoint", "c", "--data", "d", "--out", "o", "--seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -14,8 +14,8 @@ from fraudformer import data as data_mod
 from fraudformer.data import (PAD_ID, BehaviorSequence, GeneratorConfig,
                               SchemaError, VocabSpec, bucketize_amount,
                               default_vocab, generate_corpus, ids_array,
-                              iter_jsonl, read_jsonl, read_vocab, window_sample,
-                              write_jsonl, write_vocab)
+                              iter_numbered_jsonl, read_jsonl, read_vocab,
+                              window_sample, write_jsonl, write_vocab)
 from tests.conftest import TINY_VOCAB, assert_same_corpus, make_sequence
 
 
@@ -96,10 +96,19 @@ def window_starts(seq, window):
 def test_window_full_length_is_identity():
     rng = np.random.default_rng(0)
     seq = make_sequence(rng, TINY_VOCAB, 10, label=2, onset=3)
-    out = window_sample(seq, 10, rng)
-    np.testing.assert_array_equal(out.ids, seq.ids)
-    assert np.shares_memory(out.ids, seq.ids)  # a view, not a copy
-    assert out.label == 0 and out.anomaly_onset is None  # windows are unlabelled
+    for draw in (rng, None):
+        out = window_sample(seq, 10, draw)
+        np.testing.assert_array_equal(out, seq.ids)
+        assert np.shares_memory(out, seq.ids)  # a view, not a copy
+
+
+def test_window_without_rng_is_the_most_recent_events():
+    seq = make_sequence(np.random.default_rng(1), TINY_VOCAB, 12)
+    for window, start in [(5, 7), (12, 0), (40, 0)]:
+        out = window_sample(seq, window)
+        assert isinstance(out, np.ndarray) and np.shares_memory(out, seq.ids)
+        assert not out.flags.writeable
+        np.testing.assert_array_equal(out, seq.ids[start:])
 
 
 def test_window_start_uniformity_chi2():
@@ -110,7 +119,7 @@ def test_window_start_uniformity_chi2():
     draw = np.random.default_rng(0)
     for _ in range(10_000):
         out = window_sample(seq, 32, draw)
-        starts.append(start_of[out.ids.tobytes()])
+        starts.append(start_of[out.tobytes()])
     counts = np.bincount(starts, minlength=69)
     assert len(counts) == 69  # starts 0..68
     _, p = stats.chisquare(counts)
@@ -287,8 +296,9 @@ def test_jsonl_rejects_out_of_vocab_id(tmp_path):
     with pytest.raises(SchemaError, match="line 2"):
         read_jsonl(p, TINY_VOCAB.cardinalities)
     # The stream yields the good user before it reaches the bad line.
-    users = iter_jsonl(p, TINY_VOCAB.cardinalities)
-    assert next(users).user_id == "u0"
+    users = iter_numbered_jsonl(p, TINY_VOCAB.cardinalities)
+    lineno, seq = next(users)
+    assert (lineno, seq.user_id) == (1, "u0")
     with pytest.raises(SchemaError, match="line 2"):
         next(users)
 
@@ -338,6 +348,18 @@ def test_jsonl_token_id_beyond_int64_is_refused(tmp_path):
                  '"anomaly_onset": null}\n')
     with pytest.raises(SchemaError, match="line 1: field 'attrs' has a token id outside"):
         read_jsonl(p)
+
+
+@pytest.mark.parametrize("attrs", [[[]], [[], []]], ids=["one-row", "two-rows"])
+@pytest.mark.parametrize("with_vocab", [False, True], ids=["no-vocab", "vocab"])
+def test_jsonl_event_without_tokens_is_refused(tmp_path, attrs, with_vocab):
+    good = {"user_id": "u0", "attrs": [[1, 1]], "label": 0, "anomaly_onset": None}
+    bad = dict(good, user_id="u1", attrs=attrs)
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    cards = TINY_VOCAB.cardinalities if with_vocab else None
+    with pytest.raises(SchemaError, match="line 2: field 'attrs' has an event with no tokens"):
+        read_jsonl(p, cards)
 
 
 def test_vocab_sidecar_round_trip(tmp_path):

@@ -147,6 +147,12 @@ def test_roc_auc_six_entry_hand_case():
     assert roc_auc(e) == pytest.approx(brute_force_auc(e))
 
 
+def test_roc_auc_signed_zeros_tie():
+    # 0.0 == -0.0, so the two form one tie group and each pair counts half.
+    e = entries_from([0.0, -0.0, 0.0, -0.0], [1, 0, 0, 1])
+    assert roc_auc(e) == 0.5 == brute_force_auc(e)
+
+
 def test_roc_auc_single_class_raises():
     with pytest.raises(ValueError):
         roc_auc(entries_from([0.1, 0.2], [1, 1]))

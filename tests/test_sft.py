@@ -109,6 +109,25 @@ def test_head_gradient_check():
     np.testing.assert_array_equal(h.grad[8 + 1 + 5:], 0.0)  # padding of sequence 2
 
 
+def test_head_zero_input_sends_no_gradient_to_bos_or_padding():
+    """All-zero hidden rows tie every conv position at relu(bias): filters
+    with a positive bias pool a valid position, the others tie at the masked
+    position 0. Neither may reach a BOS or padding row."""
+    cfg = AnomalyHeadConfig(kernel_sizes=(2, 3), filters=6, hidden=6, dropout=0.0)
+    params = head64(cfg, d_model=4, seed=5)
+    for k in cfg.kernel_sizes:
+        params[f"head.conv{k}.b"].data[:] = np.linspace(-1.0, 1.0, cfg.filters)
+    h = Tensor(np.zeros((3 * 9, 4)), requires_grad=True)
+    lengths = np.array([8, 4, 6])
+    with GradTape() as tape:
+        tape.backward(ops.sum_all(head_features(h, lengths, cfg, params)))
+    grad = h.grad.reshape(3, 9, 4)
+    for b, n in enumerate(lengths):
+        np.testing.assert_array_equal(grad[b, 0], 0.0)           # BOS
+        np.testing.assert_array_equal(grad[b, n + 1:], 0.0)      # padding
+        assert np.abs(grad[b, 1:n + 1]).sum() > 0                # events do get some
+
+
 @given(seed=st.integers(0, 2 ** 31 - 1),
        lengths=st.lists(st.integers(6, 12), min_size=1, max_size=6))
 @settings(max_examples=20, deadline=None)
