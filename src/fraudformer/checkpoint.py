@@ -148,6 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
         if end > len(data) or end != next_start:
             raise ShapeError(f"{path}: blob for {entry['name']!r} does not match shape {shape}")
         arr = np.frombuffer(data[start:end], dtype="<f4").reshape(shape)
+        # Training refuses a non-finite loss, so only a hand-made or damaged
+        # file gets here; its NaN would run on into every output.
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
     model = _config(path, ModelConfig, config["model"])
     head = _config(path, AnomalyHeadConfig, config["head"]) if config["head"] else None

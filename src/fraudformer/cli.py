@@ -6,14 +6,20 @@ Every subcommand is reproducible from (config JSON, seed) alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
+import gc
 import itertools
+import os
+import pickle
+import signal
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -22,14 +28,16 @@ from . import evaluation as ev
 from . import sft as sft_mod
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .data import (BehaviorSequence, generate_corpus, iter_numbered_jsonl, read_jsonl,
-                   read_vocab, window_sample, write_jsonl, write_vocab)
+from .data import (BehaviorSequence, generate_corpus, iter_numbered_jsonl, numbered_lines,
+                   parse_jsonl_line, read_jsonl, read_vocab, window_sample, write_jsonl,
+                   write_vocab)
 from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
 __all__ = ["main", "run_subcommand", "pipeline_smoke"]
 
-# Users per embed forward, kept small because peak memory grows with it.
+# Users per embed forward, kept small because peak memory grows with it:
+# `embed` reads its input in blocks of this many non-blank lines.
 EMBED_CHUNK = 16
 
 # glibc's mallopt parameter for the free space malloc keeps at the top of the
@@ -85,16 +93,22 @@ def _read_scores(path) -> Dict[str, float]:
     return scores
 
 
+def _first_sight(first_line: Dict[str, int], path, lineno: int, user_id: str) -> None:
+    """Note that ``user_id`` is on line ``lineno`` of ``path``; a user_id that
+    repeats fails naming both of its lines, since each user gets one score or
+    embedding."""
+    if user_id in first_line:
+        raise ValueError(f"{path}: lines {first_line[user_id]} and {lineno}: "
+                         f"user {user_id!r} appears twice")
+    first_line[user_id] = lineno
+
+
 def _unique_users(path, cardinalities: Optional[Sequence[int]] = None,
                   ) -> Iterator[BehaviorSequence]:
-    """``path``'s users, streamed; a user_id that repeats fails naming both
-    of its lines, since each user gets one score or embedding."""
+    """``path``'s users, streamed, each user_id seen once."""
     first_line: Dict[str, int] = {}
     for lineno, seq in iter_numbered_jsonl(path, cardinalities):
-        if seq.user_id in first_line:
-            raise ValueError(f"{path}: lines {first_line[seq.user_id]} and {lineno}: "
-                             f"user {seq.user_id!r} appears twice")
-        first_line[seq.user_id] = lineno
+        _first_sight(first_line, path, lineno, seq.user_id)
         yield seq
 
 
@@ -230,25 +244,58 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    """Embed each user's most recent ``t_max`` events, reading and writing
-    ``EMBED_CHUNK`` users at a time."""
-    ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
+def _embed_part(path, ckpt: Checkpoint, part: int, parts: int,
+                ) -> Iterator[Tuple[List[Tuple[int, str]], str, Optional[str]]]:
+    """Blocks ``part``, ``part + parts``, ``part + 2 * parts``, ... of
+    ``path``, each ``EMBED_CHUNK`` non-blank lines, embedded in one forward
+    apiece; the other blocks are skipped unparsed. Per block: its (line
+    number, user_id) pairs, its CSV rows and None; for a block that failed,
+    which ends the part, the pairs read before the fault, "" and its text."""
     model = ckpt.model
-    users = _unique_users(args.data, model.cardinalities)
+    cards = np.asarray(model.cardinalities, dtype=np.uint64)
     # 9 significant digits round-trip a float32 exactly. One format for the
     # row's Python floats gives the text of formatting each value alone.
     row = ",".join(["%.9g"] * model.d_model)
-    n_users = 0
-    with atomic_open(args.out) as fh:
-        header = ",".join(f"e{i}" for i in range(model.d_model))
-        fh.write(f"user_id,{header}\n")
-        while chunk := list(itertools.islice(users, EMBED_CHUNK)):
-            ids = [window_sample(seq, model.t_max) for seq in chunk]
+    lines = numbered_lines(path)
+    for b in itertools.count():
+        block = list(itertools.islice(lines, EMBED_CHUNK))
+        if not block:
+            return
+        if b % parts != part:
+            continue
+        pairs: List[Tuple[int, str]] = []
+        ids = []
+        try:
+            for lineno, line in block:
+                seq = parse_jsonl_line(line, lineno, cards)
+                pairs.append((lineno, seq.user_id))
+                ids.append(window_sample(seq, model.t_max))
             vecs = cl.embed_batch(ids, ckpt.params, model).data
-            for seq, vec in zip(chunk, vecs):
-                fh.write(seq.user_id + "," + row % tuple(vec.tolist()) + "\n")
-            n_users += len(chunk)
+        except Exception as exc:  # reported after the repeat check of `pairs`
+            yield pairs, "", str(exc)
+            return
+        yield pairs, "".join(f"{uid},{row % tuple(vec.tolist())}\n"
+                             for (_, uid), vec in zip(pairs, vecs)), None
+
+
+def cmd_embed(args) -> int:
+    """Embed each user's most recent ``t_max`` events, ``EMBED_CHUNK`` users
+    at a time, split between ``embed_workers()`` processes by block."""
+    ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
+    header = ",".join(f"e{i}" for i in range(ckpt.model.d_model))
+    first_line: Dict[str, int] = {}
+    n_users = 0
+    part = functools.partial(_embed_part, args.data, ckpt)
+    with contextlib.closing(interleave_parts(part, embed_workers())) as blocks, \
+            atomic_open(args.out) as fh:
+        fh.write(f"user_id,{header}\n")
+        for pairs, text, error in blocks:
+            for lineno, uid in pairs:
+                _first_sight(first_line, args.data, lineno, uid)
+            if error is not None:
+                raise ValueError(error)
+            fh.write(text)
+            n_users += len(pairs)
     print(f"embedded {n_users} sequences -> {args.out}")
     return 0
 
@@ -425,6 +472,120 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_smoke)
 
     return parser
+
+
+class WorkerError(RuntimeError):
+    """A forked worker's exception, carried back as its text, or its death."""
+
+
+@functools.cache
+def _openblas_threads() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None where numpy does not carry them (another BLAS, another build)."""
+    try:
+        from numpy._core import _multiarray_umath
+        # dlsym on the extension's handle also searches the libraries it links.
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+def embed_workers() -> int:
+    """Processes that ``embed`` splits its blocks between: one per allowed
+    CPU, at most 2, where numpy's OpenBLAS can be pinned to one thread; else 1.
+    Two processes at OpenBLAS's default threads each ran 6x slower than one."""
+    if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _serve(part: Callable[[int, int], Iterator], sink) -> NoReturn:
+    """The forked child's whole life: pickle each item of ``part(1, 2)``,
+    then an end or the first exception's text, into ``sink``; then exit,
+    running none of the cleanup that the fork copied from the parent."""
+    code = 1
+    try:
+        # Garbage made before the fork is the parent's to collect: its finalizers
+        # (an unflushed file's, say) must not run here as well.
+        gc.freeze()
+        try:
+            for item in part(1, 2):
+                sink.write(pickle.dumps(("item", item)))
+                sink.flush()
+            last = ("end", None)
+        except Exception as exc:
+            last = ("error", str(exc))
+        sink.write(pickle.dumps(last))
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def interleave_parts(part: Callable[[int, int], Iterator], workers: int) -> Iterator:
+    """The items of ``part(0, workers)``, ``part(1, workers)``, ... taken in
+    turn, one each, until one part runs out. ``part(w, n)`` yields the items
+    of blocks w, w + n, w + 2n, ... of an input, so they come in input order.
+
+    With 1 worker the one part runs in this process. With 2, part 1 runs in
+    a forked child that pickles its items through a pipe, whose capacity
+    bounds how far it runs ahead, and both processes run OpenBLAS at one
+    thread until the child is gone. An exception in the child comes back as
+    a ``WorkerError`` with its text, and so does its death. Closing the
+    iterator kills and reaps the child, so none outlives it."""
+    if workers == 1:
+        yield from part(0, 1)
+        return
+    if workers != 2:
+        raise ValueError(f"interleave_parts runs 1 or 2 workers, not {workers}")
+    get_threads, set_threads = _openblas_threads()
+    threads = get_threads()
+    set_threads(1)
+    pid, reaped = None, False
+
+    def received(pipe) -> Iterator:
+        nonlocal reaped
+        while True:
+            try:
+                kind, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # a record cut short
+                status = os.waitpid(pid, 0)[1]
+                reaped = True
+                raise WorkerError(f"the worker process exited with status "
+                                  f"{os.waitstatus_to_exitcode(status)} before its "
+                                  f"last block") from None
+            if kind == "end":
+                return
+            if kind == "error":
+                raise WorkerError(value)
+            yield value
+
+    try:
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:
+                # A read end left open here would keep a write to a full pipe
+                # blocked for ever once the parent is gone.
+                pipe.close()
+                _serve(part, sink)
+            sink.close()
+            done = object()
+            for source in itertools.cycle((part(0, 2), received(pipe))):
+                item = next(source, done)
+                if item is done:
+                    return
+                yield item
+    finally:
+        if pid and not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        set_threads(threads)
 
 
 @functools.cache

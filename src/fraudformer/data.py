@@ -50,8 +50,8 @@ __all__ = [
     "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
     "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
-    "iter_numbered_jsonl", "read_jsonl", "write_jsonl", "read_vocab",
-    "write_vocab", "SchemaError",
+    "numbered_lines", "parse_jsonl_line", "iter_numbered_jsonl", "read_jsonl",
+    "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
 ]
 
 PAD_ID = 0
@@ -416,82 +416,95 @@ def write_jsonl(fh: TextIO, corpus: Iterable[BehaviorSequence]) -> None:
         fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
-                        ) -> Iterator[Tuple[int, BehaviorSequence]]:
-    """Parse a corpus file one user at a time, as (line number, user) pairs; a
-    malformed line fails with its line number when the reader reaches it.
+def numbered_lines(path) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
 
-    Each line is a JSON object. ``user_id`` must be a nonempty JSON string
+
+def parse_jsonl_line(line: str, lineno: int, cardinalities: Optional[Sequence[int]] = None,
+                     ) -> BehaviorSequence:
+    """The user of one stripped corpus line; a malformed line fails naming
+    ``lineno``.
+
+    The line is a JSON object. ``user_id`` must be a nonempty JSON string
     with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
     ``label`` must be a JSON integer >= 0, ``anomaly_onset`` a JSON integer
     or null, and ``attrs`` rows of JSON integer token ids of equal length.
     With ``cardinalities`` every event must have one token per dimension,
-    each in [0, V_d).
+    each in [0, V_d); a uint64 array of them is used as it is.
     """
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise SchemaError(f"line {lineno}: a record must be a JSON object")
+    for key in ("user_id", "attrs", "label", "anomaly_onset"):
+        if key not in rec:
+            raise SchemaError(f"line {lineno}: missing field {key!r}")
+    user_id = rec["user_id"]
+    if type(user_id) is not str or not user_id or any(c in user_id for c in ',"\r\n'):
+        raise SchemaError(f"line {lineno}: field 'user_id' must be a nonempty string "
+                          f"without ',', '\"', CR or LF, got {user_id!r}")
+    attrs = rec["attrs"]
+    if not isinstance(attrs, list) or not attrs:
+        raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
+    try:
+        ids = np.array(attrs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"line {lineno}: field 'attrs' must be rows of integer "
+                          f"token ids of equal length: {exc}") from exc
+    if ids.ndim != 2:
+        raise SchemaError(f"line {lineno}: field 'attrs' must be a list of rows")
+    if ids.shape[1] == 0:
+        raise SchemaError(f"line {lineno}: field 'attrs' has an event with no tokens")
+    # np.array reads 1.7 and "3" into float and str arrays but [1, true]
+    # into int64, so a line that spells a bool is checked value by value.
+    if ids.dtype != np.int64 or "true" in line or "false" in line:
+        for t, row in enumerate(attrs):
+            for d, value in enumerate(row):
+                if type(value) is not int:  # a bool is an int subclass
+                    raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}] must be "
+                                      f"an integer token id, got {value!r}")
+        if ids.dtype != np.int64:
+            raise SchemaError(f"line {lineno}: field 'attrs' has a token id outside "
+                              f"the 64-bit integers")
+    if cardinalities is not None:
+        cards = np.asarray(cardinalities, dtype=np.uint64)
+        if ids.shape[1] != cards.size:
+            raise SchemaError(f"line {lineno}: field 'attrs' rows have "
+                              f"{ids.shape[1]} values, expected {cards.size}")
+        # One comparison: a negative id reads as a huge unsigned one.
+        bad = ids.view(np.uint64) >= cards
+        if bad.any():
+            t, d = np.argwhere(bad)[0]
+            raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
+                              f"outside [0, {cards[d]})")
+    label, onset = rec["label"], rec["anomaly_onset"]
+    if type(label) is not int or label < 0:  # a bool is an int subclass
+        raise SchemaError(f"line {lineno}: field 'label' must be an integer >= 0, "
+                          f"got {label!r}")
+    if type(onset) not in (int, type(None)):
+        raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
+                          f"or null, got {onset!r}")
+    try:
+        return BehaviorSequence(user_id, ids, label, onset)
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,
+                        ) -> Iterator[Tuple[int, BehaviorSequence]]:
+    """Parse a corpus file one user at a time, as (line number, user) pairs; a
+    malformed line fails with its line number when the reader reaches it.
+    Blank lines are skipped; see ``parse_jsonl_line`` for a line's schema."""
     cards = None if cardinalities is None else np.asarray(cardinalities, dtype=np.uint64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise SchemaError(f"line {lineno}: a record must be a JSON object")
-            for key in ("user_id", "attrs", "label", "anomaly_onset"):
-                if key not in rec:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            user_id = rec["user_id"]
-            if type(user_id) is not str or not user_id or any(c in user_id for c in ',"\r\n'):
-                raise SchemaError(f"line {lineno}: field 'user_id' must be a nonempty string "
-                                  f"without ',', '\"', CR or LF, got {user_id!r}")
-            attrs = rec["attrs"]
-            if not isinstance(attrs, list) or not attrs:
-                raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
-            try:
-                ids = np.array(attrs)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"line {lineno}: field 'attrs' must be rows of integer "
-                                  f"token ids of equal length: {exc}") from exc
-            if ids.ndim != 2:
-                raise SchemaError(f"line {lineno}: field 'attrs' must be a list of rows")
-            if ids.shape[1] == 0:
-                raise SchemaError(f"line {lineno}: field 'attrs' has an event with no tokens")
-            # np.array reads 1.7 and "3" into float and str arrays but [1, true]
-            # into int64, so a line that spells a bool is checked value by value.
-            if ids.dtype != np.int64 or "true" in line or "false" in line:
-                for t, row in enumerate(attrs):
-                    for d, value in enumerate(row):
-                        if type(value) is not int:  # a bool is an int subclass
-                            raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}] must be "
-                                              f"an integer token id, got {value!r}")
-                if ids.dtype != np.int64:
-                    raise SchemaError(f"line {lineno}: field 'attrs' has a token id outside "
-                                      f"the 64-bit integers")
-            if cards is not None:
-                if ids.shape[1] != cards.size:
-                    raise SchemaError(f"line {lineno}: field 'attrs' rows have "
-                                      f"{ids.shape[1]} values, expected {cards.size}")
-                # One comparison: a negative id reads as a huge unsigned one.
-                bad = ids.view(np.uint64) >= cards
-                if bad.any():
-                    t, d = np.argwhere(bad)[0]
-                    raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
-                                      f"outside [0, {cards[d]})")
-            label, onset = rec["label"], rec["anomaly_onset"]
-            if type(label) is not int or label < 0:  # a bool is an int subclass
-                raise SchemaError(f"line {lineno}: field 'label' must be an integer >= 0, "
-                                  f"got {label!r}")
-            if type(onset) not in (int, type(None)):
-                raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
-                                  f"or null, got {onset!r}")
-            try:
-                seq = BehaviorSequence(user_id, ids, label, onset)
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            yield lineno, seq
+    for lineno, line in numbered_lines(path):
+        yield lineno, parse_jsonl_line(line, lineno, cards)
 
 
 def read_jsonl(path, cardinalities: Optional[Sequence[int]] = None) -> List[BehaviorSequence]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fraudformer import cli
 from fraudformer.cli import build_parser, keep_freed_heap, run_subcommand
 from fraudformer.config import ConfigError, DEFAULTS, load_run_config
 from fraudformer.contrastive import ContrastiveConfig
@@ -515,6 +516,7 @@ def test_cli_embed_text_is_each_value_formatted_alone(scoring_run, tmp_path, cap
         return Tensor(made[-1])
 
     monkeypatch.setattr(contrastive, "embed_batch", rows)
+    monkeypatch.setattr(cli, "embed_workers", lambda: 1)  # `made` sees this process only
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
@@ -558,6 +560,7 @@ def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, mo
 def test_cli_embed_runs_one_forward_per_chunk(scoring_run, tmp_path, capsys, monkeypatch):
     from fraudformer.cli import EMBED_CHUNK
     calls = count_embed_batches(monkeypatch)
+    monkeypatch.setattr(cli, "embed_workers", lambda: 1)  # `calls` sees this process only
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
@@ -566,6 +569,155 @@ def test_cli_embed_runs_one_forward_per_chunk(scoring_run, tmp_path, capsys, mon
     assert calls == [16, 16, 8]  # ceil(40 / 16) = 3 forwards
     rows = out.read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [r["user_id"] for r in scoring_run["records"]]
+
+
+# --- embed split between two processes ---------------------------------------
+
+needs_two_workers = pytest.mark.skipif(
+    cli._openblas_threads() is None or not hasattr(os, "fork"),
+    reason="two embed workers need os.fork and numpy's OpenBLAS thread setter")
+
+
+def assert_no_child():
+    """No child process of this one is left, not even a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def embed_with(monkeypatch, capsys, workers, ckpt, data, out):
+    """``embed`` run on ``workers`` processes: (exit code, stderr)."""
+    monkeypatch.setattr(cli, "embed_workers", lambda: workers)
+    rc = run_subcommand(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(out)])
+    err = capsys.readouterr().err
+    assert_no_child()
+    return rc, err
+
+
+def blocks_corpus(scoring_run, path, n_users=37):
+    """``n_users`` users in 3 blocks of 16 lines, the last one partial; some
+    shorter than the model's t_max (16), some longer, with blank lines
+    between them, which no block counts."""
+    records = [dict(r, attrs=r["attrs"][:3 + i % 5], label=0, anomaly_onset=None)
+               if i % 4 == 0 else dict(r, attrs=r["attrs"] * 2) if i % 4 == 1 else r
+               for i, r in enumerate(scoring_run["records"][:n_users])]
+    lines = [json.dumps(r) + "\n" for r in records]
+    for at in (30, 17, 5, 0):
+        lines.insert(at, "\n" if at % 2 else "   \n")
+    path.write_text("".join(lines))
+    return path
+
+
+@needs_two_workers
+def test_cli_embed_one_and_two_workers_write_the_same_bytes(scoring_run, tmp_path,
+                                                             capsys, monkeypatch):
+    data = blocks_corpus(scoring_run, tmp_path / "d.jsonl")
+    get_threads, set_threads = cli._openblas_threads()
+    threads = get_threads()
+    set_threads(3)
+    try:
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"e{workers}.csv"
+            assert embed_with(monkeypatch, capsys, workers, scoring_run["pre"], data,
+                              out) == (0, "")
+            outs.append(out.read_bytes())
+        assert get_threads() == 3  # this process's BLAS threads are restored
+    finally:
+        set_threads(threads)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 37
+
+
+def _malform(lines, user):
+    lines[user] = lines[user][:20] + "\n"
+
+
+def _repeat(lines, user, of):
+    lines[user] = lines[of]
+
+
+# Line numbers are users' indices + 1: users 0-15 are block 0 (this process),
+# 16-31 block 1 (the worker), 32-39 block 2 (this process).
+@needs_two_workers
+@pytest.mark.parametrize("fault,message", [
+    (lambda lines: _malform(lines, 35), "line 36: invalid JSON"),
+    (lambda lines: _malform(lines, 20), "line 21: invalid JSON"),
+    (lambda lines: (_malform(lines, 35), _malform(lines, 20)), "line 21: invalid JSON"),
+    (lambda lines: _repeat(lines, 20, of=3), "lines 4 and 21: user"),
+    (lambda lines: _repeat(lines, 36, of=25), "lines 26 and 37: user"),
+    (lambda lines: (_repeat(lines, 20, of=3), _malform(lines, 22)), "lines 4 and 21: user"),
+    (lambda lines: (_malform(lines, 19), _repeat(lines, 20, of=3)), "line 20: invalid JSON"),
+], ids=["malformed_in_parent_block", "malformed_in_worker_block", "first_of_two_malformed",
+        "repeat_parent_then_worker", "repeat_worker_then_parent",
+        "repeat_before_malformed_in_worker_block", "malformed_before_repeat_in_worker_block"])
+def test_cli_embed_fails_alike_on_one_and_two_workers(scoring_run, tmp_path, capsys,
+                                                      monkeypatch, fault, message):
+    lines = scoring_run["data"].read_text().splitlines(keepends=True)
+    fault(lines)
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(lines))
+    errors = []
+    for workers in (1, 2):
+        out = tmp_path / f"e{workers}.csv"
+        rc, err = embed_with(monkeypatch, capsys, workers, scoring_run["pre"], data, out)
+        assert rc == 1 and message in err
+        assert list(tmp_path.iterdir()) == [data]
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+@needs_two_workers
+def test_cli_embed_fails_clearly_when_the_worker_dies(scoring_run, tmp_path, capsys,
+                                                     monkeypatch):
+    from fraudformer import contrastive
+    real, parent = contrastive.embed_batch, os.getpid()
+
+    def dies_in_the_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contrastive, "embed_batch", dies_in_the_worker)
+    out = tmp_path / "e.csv"
+    rc, err = embed_with(monkeypatch, capsys, 2, scoring_run["pre"], scoring_run["data"], out)
+    assert rc == 1
+    assert "error: the worker process exited with status 3 before its last block" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_two_workers
+def test_cli_embed_worker_error_comes_back_as_its_text(scoring_run, tmp_path, capsys,
+                                                       monkeypatch):
+    """A fault outside any block, here reading the file, fails alike too."""
+    from fraudformer import data as data_mod
+    real, parent = data_mod.numbered_lines, os.getpid()
+
+    def unreadable_in_the_worker(path):
+        if os.getpid() != parent:
+            raise OSError("disk gone")
+        return real(path)
+
+    monkeypatch.setattr(cli, "numbered_lines", unreadable_in_the_worker)
+    out = tmp_path / "e.csv"
+    rc, err = embed_with(monkeypatch, capsys, 2, scoring_run["pre"], scoring_run["data"], out)
+    assert rc == 1 and "error: disk gone" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,ckpt", [("score", "sft"), ("embed", "pre")])
+def test_cli_refuses_a_checkpoint_with_a_nan_parameter(scoring_run, tmp_path, capsys,
+                                                       command, ckpt):
+    from fraudformer.checkpoint import load_checkpoint, save_checkpoint
+    loaded = load_checkpoint(scoring_run[ckpt])
+    loaded.params["pos"].data[3, 1] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, loaded.params, loaded.model, head=loaded.head, kind=loaded.kind)
+    out = tmp_path / "out.csv"
+    assert run_subcommand([command, "--checkpoint", str(bad), "--data",
+                           str(scoring_run["data"]), "--out", str(out)]) == 1
+    assert f"{bad}: parameter 'pos' holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_gen_data_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
