@@ -17,6 +17,7 @@ import pickle
 import signal
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
                     Tuple)
@@ -280,13 +281,16 @@ def _embed_part(path, ckpt: Checkpoint, part: int, parts: int,
 
 def cmd_embed(args) -> int:
     """Embed each user's most recent ``t_max`` events, ``EMBED_CHUNK`` users
-    at a time, split between ``embed_workers()`` processes by block."""
+    at a time, split between ``embed_workers()`` processes by block where
+    ``--data`` is a regular file: both processes open it, and a pipe's lines
+    would be split between their reads."""
     ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
     header = ",".join(f"e{i}" for i in range(ckpt.model.d_model))
     first_line: Dict[str, int] = {}
     n_users = 0
     part = functools.partial(_embed_part, args.data, ckpt)
-    with contextlib.closing(interleave_parts(part, embed_workers())) as blocks, \
+    fork = embed_workers() == 2 and os.path.isfile(args.data)
+    with contextlib.closing(interleave_parts(part, fork)) as blocks, \
             atomic_open(args.out) as fh:
         fh.write(f"user_id,{header}\n")
         for pairs, text, error in blocks:
@@ -474,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class WorkerError(RuntimeError):
-    """A forked worker's exception, carried back as its text, or its death."""
-
-
 @functools.cache
 def _openblas_threads() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
     """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
@@ -527,22 +527,21 @@ def _serve(part: Callable[[int, int], Iterator], sink) -> NoReturn:
         os._exit(code)
 
 
-def interleave_parts(part: Callable[[int, int], Iterator], workers: int) -> Iterator:
-    """The items of ``part(0, workers)``, ``part(1, workers)``, ... taken in
-    turn, one each, until one part runs out. ``part(w, n)`` yields the items
-    of blocks w, w + n, w + 2n, ... of an input, so they come in input order.
+def interleave_parts(part: Callable[[int, int], Iterator], fork: bool) -> Iterator:
+    """The items of ``part(0, n)``, ``part(1, n)``, ... taken in turn, one
+    each, until one part runs out. ``part(w, n)`` yields the items of blocks
+    w, w + n, w + 2n, ... of an input, so they come in input order.
 
-    With 1 worker the one part runs in this process. With 2, part 1 runs in
-    a forked child that pickles its items through a pipe, whose capacity
-    bounds how far it runs ahead, and both processes run OpenBLAS at one
-    thread until the child is gone. An exception in the child comes back as
-    a ``WorkerError`` with its text, and so does its death. Closing the
-    iterator kills and reaps the child, so none outlives it."""
-    if workers == 1:
+    Without ``fork`` n is 1 and the one part runs in this process. With it
+    n is 2: part 1 runs in a forked child that pickles its items through a
+    pipe, whose capacity bounds how far it runs ahead, and both processes
+    run OpenBLAS at one thread until the child is gone. An exception in the
+    child comes back as a ``RuntimeError`` with its text, and so does its
+    death. Closing the iterator kills and reaps the child, so none outlives
+    it."""
+    if not fork:
         yield from part(0, 1)
         return
-    if workers != 2:
-        raise ValueError(f"interleave_parts runs 1 or 2 workers, not {workers}")
     get_threads, set_threads = _openblas_threads()
     threads = get_threads()
     set_threads(1)
@@ -556,19 +555,25 @@ def interleave_parts(part: Callable[[int, int], Iterator], workers: int) -> Iter
             except (EOFError, pickle.UnpicklingError):  # a record cut short
                 status = os.waitpid(pid, 0)[1]
                 reaped = True
-                raise WorkerError(f"the worker process exited with status "
-                                  f"{os.waitstatus_to_exitcode(status)} before its "
-                                  f"last block") from None
+                raise RuntimeError(f"the worker process exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} before its "
+                                   f"last block") from None
             if kind == "end":
                 return
             if kind == "error":
-                raise WorkerError(value)
+                raise RuntimeError(value)
             yield value
 
     try:
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-            pid = os.fork()
+            with warnings.catch_warnings():
+                # Python 3.12 on warns that a fork in a process with threads may
+                # deadlock. The only other threads are OpenBLAS's, idle at one
+                # thread, and OpenBLAS's atfork handler stops them before a fork.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
             if pid == 0:
                 # A read end left open here would keep a write to a full pipe
                 # blocked for ever once the parent is gone.

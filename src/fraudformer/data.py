@@ -425,7 +425,7 @@ def numbered_lines(path) -> Iterator[Tuple[int, str]]:
                 yield lineno, line
 
 
-def parse_jsonl_line(line: str, lineno: int, cardinalities: Optional[Sequence[int]] = None,
+def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
                      ) -> BehaviorSequence:
     """The user of one stripped corpus line; a malformed line fails naming
     ``lineno``.
@@ -434,8 +434,8 @@ def parse_jsonl_line(line: str, lineno: int, cardinalities: Optional[Sequence[in
     with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
     ``label`` must be a JSON integer >= 0, ``anomaly_onset`` a JSON integer
     or null, and ``attrs`` rows of JSON integer token ids of equal length.
-    With ``cardinalities`` every event must have one token per dimension,
-    each in [0, V_d); a uint64 array of them is used as it is.
+    With ``cards``, the vocab's V_d as a uint64 array, every event must have
+    one token per dimension, each in [0, V_d).
     """
     try:
         rec = json.loads(line)
@@ -473,8 +473,7 @@ def parse_jsonl_line(line: str, lineno: int, cardinalities: Optional[Sequence[in
         if ids.dtype != np.int64:
             raise SchemaError(f"line {lineno}: field 'attrs' has a token id outside "
                               f"the 64-bit integers")
-    if cardinalities is not None:
-        cards = np.asarray(cardinalities, dtype=np.uint64)
+    if cards is not None:
         if ids.shape[1] != cards.size:
             raise SchemaError(f"line {lineno}: field 'attrs' rows have "
                               f"{ids.shape[1]} values, expected {cards.size}")

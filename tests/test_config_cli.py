@@ -629,6 +629,26 @@ def test_cli_embed_one_and_two_workers_write_the_same_bytes(scoring_run, tmp_pat
     assert len(outs[0].splitlines()) == 1 + 37
 
 
+@needs_two_workers
+def test_cli_embed_reads_a_pipe_in_one_process(scoring_run, tmp_path, capsys, monkeypatch):
+    """Two processes that each opened a pipe would split its lines between
+    their reads, so a pipe is read by the command's process alone: its CSV
+    is that of the file read by one worker, and its stderr stays empty."""
+    import fraudformer
+    data = blocks_corpus(scoring_run, tmp_path / "d.jsonl")
+    want = tmp_path / "e1.csv"
+    assert embed_with(monkeypatch, capsys, 1, scoring_run["pre"], data, want) == (0, "")
+    out = tmp_path / "e2.csv"
+    script = ("import sys; from fraudformer import cli; cli.embed_workers = lambda: 2; "
+              "sys.exit(cli.run_subcommand())")
+    env = {**os.environ, "PYTHONPATH": str(Path(fraudformer.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", script, "embed", "--checkpoint",
+                            str(scoring_run["pre"]), "--data", "/dev/stdin", "--out", str(out)],
+                           input=data.read_bytes(), capture_output=True, env=env, timeout=120)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert out.read_bytes() == want.read_bytes()
+
+
 def _malform(lines, user):
     lines[user] = lines[user][:20] + "\n"
 
