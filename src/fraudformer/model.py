@@ -155,8 +155,8 @@ def param_count(cfg: ModelConfig) -> int:
 
 @dataclass
 class EncodedBatch:
-    """B sequences as [B * (t_max + 1), d_model] rows: per sequence a BOS row,
-    then its events right-padded with PAD (0) to t_max."""
+    """B sequences as ``nm.sequence_rows``'s [B * (t_max + 1), d_model] rows: per
+    sequence a BOS row, then its events right-padded with PAD (0) to t_max."""
 
     x: nm.Tensor            # [B * (t_max + 1), d_model]
     ids: np.ndarray         # [B, t_max, D] padded token ids
@@ -177,18 +177,11 @@ def encode_batch(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],
     lengths = np.array([a.shape[0] for a in id_arrays], dtype=np.int64)
     if lengths.max() > cfg.t_max:
         raise nm.DimensionError(f"sequence length {lengths.max()} exceeds t_max={cfg.t_max}")
-    batch, seg = len(id_arrays), cfg.t_max
-    ids = np.zeros((batch, seg, cfg.D), dtype=np.int64)
+    ids = np.zeros((len(id_arrays), cfg.t_max, cfg.D), dtype=np.int64)
     for i, a in enumerate(id_arrays):
         ids[i, :a.shape[0]] = a
-    flat = ids.reshape(batch * seg, cfg.D)
-    ev = nm.concat_cols([nm.take_rows(params[f"embed.{d}"], flat[:, d]) for d in range(cfg.D)])
-    table = nm.concat_rows([nm.reshape(params["bos"], (1, cfg.d_model)), ev])
-    # Row 0 of table is BOS, row 1 + b*seg + t is event t of sequence b.
-    rows = np.zeros((batch, seg + 1), dtype=np.int64)
-    rows[:, 1:] = 1 + np.arange(batch * seg).reshape(batch, seg)
-    x = nm.add(nm.take_rows(table, rows.reshape(-1)),
-               nm.take_rows(params["pos"], np.tile(np.arange(seg + 1), batch)))
+    events = nm.concat_cols([nm.take_rows(params[f"embed.{d}"], ids[..., d]) for d in range(cfg.D)])
+    x = nm.sequence_rows(events, params["bos"], params["pos"])
     return EncodedBatch(x=x, ids=ids, lengths=lengths)
 
 

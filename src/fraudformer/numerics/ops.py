@@ -6,10 +6,10 @@ array per input, of that input's shape. ``_record`` does all gradient
 bookkeeping: an input's first contribution becomes its gradient (as a copy),
 and each later one is added to it. No implicit broadcasting beyond the
 patterns spelled out per op (``matmul``'s bias and its stack of single rows,
-``scale``'s and ``add_const``'s constants); reshape explicitly otherwise.
-Causal multi-head attention is one op, ``attention``, with its backward
-written out: of its [B, H, R, R] intermediates it keeps only the
-probabilities.
+``scale``'s and ``add_const``'s constants, ``sequence_rows``'s ``bos`` and
+``pos``); reshape explicitly otherwise. Causal multi-head attention is one
+op, ``attention``, with its backward written out: of its [B, H, R, R]
+intermediates it keeps only the probabilities.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import numpy as np
 from .tensor import DimensionError, Tensor, active_tape
 
 __all__ = [
-    "add", "add_n", "scale", "add_const", "mul",
+    "add", "add_n", "scale", "add_const",
     "matmul", "matmul_t", "attention",
     "relu", "layer_norm", "dropout",
     "softmax_rows", "softmax_ce", "conv1d", "max_over_time",
-    "concat_cols", "slice_cols", "take_rows", "concat_rows",
-    "normalize_rows", "row_diff", "reshape", "sum_all",
+    "concat_cols", "slice_cols", "take_rows", "sequence_rows",
+    "normalize_rows", "row_diff", "reshape",
 ]
 
 
@@ -83,17 +83,6 @@ def add_const(x: Tensor, arr: np.ndarray) -> Tensor:
     """Add a non-learned constant. No program path calls it; it stays while
     the benchmark's tracer times it by name."""
     return _record(Tensor(x.data + arr), (x,), lambda g: (g,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-    def grads(g):
-        yield g * b.data
-        yield g * a.data
-
-    return _record(Tensor(a.data * b.data), (a, b), grads)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -373,12 +362,26 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record(Tensor(x.data[idx]), (x,), grads)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 0."""
-    parts = list(parts)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    return _record(out, parts, lambda g: [g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
+def sequence_rows(events: Tensor, bos: Tensor, pos: Tensor) -> Tensor:
+    """The model's [B * R, d] input rows from B sequences' [B, R - 1, d] events:
+    per sequence ``bos`` [d], then its events, each row plus ``pos`` [R, d] at
+    its position. The ``pos`` gradient sums over the batch, and ``bos``'s is
+    its row 0: summed over the outer axis, numpy adds the sequences in order
+    (the bits of a loop), where a [B, d] column would go pairwise at d = 1."""
+    shape = events.data.shape
+    if len(shape) != 3 or bos.data.shape != shape[2:] or pos.data.shape != (shape[1] + 1, shape[2]):
+        raise DimensionError(f"sequence_rows: events [B, R - 1, d] need bos [d] and pos [R, d], "
+                             f"got {shape}, {bos.data.shape} and {pos.data.shape}")
+    b, t, d = shape
+    x = np.concatenate([np.broadcast_to(bos.data, (b, 1, d)), events.data], axis=1)
+    x += pos.data
+
+    def grads(g):
+        g = g.reshape(b, t + 1, d)
+        g_pos = g.sum(axis=0)
+        return g[:, 1:], g_pos[0], g_pos
+
+    return _record(Tensor(x.reshape(b * (t + 1), d)), (events, bos, pos), grads)
 
 
 def normalize_rows(x: Tensor) -> Tensor:
@@ -402,12 +405,6 @@ def row_diff(x: Tensor) -> Tensor:
         return (gx,)
 
     return _record(Tensor(np.diff(x.data, axis=-2)), (x,), grads)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
-    return _record(out, (x,), lambda g: (np.full_like(x.data, g),))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

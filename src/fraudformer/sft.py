@@ -178,7 +178,9 @@ def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SftConfig,
                   epoch: int) -> List[List]:
     """One epoch: each negative exactly once, positives re-drawn with replacement."""
     if not pos_pool or not neg_pool:
-        raise ValueError("both sample pools must be nonempty")
+        raise ValueError(f"SFT needs a user with label > 0 and a user with label 0 that the "
+                         f"anomaly head can read; got {len(pos_pool)} with label > 0 and "
+                         f"{len(neg_pool)} with label 0")
     n_pos = cfg.pos_per_batch
     n_neg = cfg.batch_size - n_pos
     rng = child_rng(cfg.seed, "sampler", epoch)

@@ -2,8 +2,8 @@
 
 ``CHECKS`` is the one registry of gradient checks: an entry ``op`` or
 ``op_<form>`` for every primitive in ``numerics.ops``, each under a weighted
-sum of its output, plus the four composite losses. ``gradient_suite`` runs
-them all, for the ``gradcheck`` CLI subcommand and the tests alike.
+sum of its output (``weighted_sum``, a ``matmul``), plus the four composite
+losses. ``gradient_suite`` runs them all, for ``gradcheck`` and the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .model import ModelConfig, batch_reconstruction_loss, init_params
 from .rng import child_rng
 from .sft import (AnomalyHeadConfig, batch_class_logits, init_head_params)
 
-__all__ = ["CHECKS", "gradient_suite", "TOLERANCE"]
+__all__ = ["CHECKS", "gradient_suite", "weighted_sum", "TOLERANCE"]
 
 TOLERANCE = 1e-4
 F64 = np.float64
@@ -28,11 +28,17 @@ def _t(rng, *shape) -> nm.Tensor:
     return nm.Tensor(rng.uniform(-1.0, 1.0, size=shape).astype(F64), requires_grad=True)
 
 
+def weighted_sum(x: nm.Tensor, w: nm.Tensor) -> nm.Tensor:
+    """sum(x * w) of two same-shape tensors, as a scalar: a row times a column."""
+    n = x.data.size
+    return nm.reshape(nm.matmul(nm.reshape(x, (1, n)), nm.reshape(w, (n, 1))), ())
+
+
 def _weighted(op: Callable, xs: Sequence[nm.Tensor], rng) -> float:
     """Check of ``op`` on the inputs ``xs`` under the loss sum(op(*xs) * w),
     with a fixed random w so that each output entry has its own weight."""
     w = nm.Tensor(rng.uniform(-1.0, 1.0, size=op(*xs).data.shape))
-    return nm.grad_check(lambda: nm.sum_all(nm.mul(op(*xs), w)), xs, rng)
+    return nm.grad_check(lambda: weighted_sum(op(*xs), w), xs, rng)
 
 
 def _weighted_check(op: Callable, *shapes) -> Callable:
@@ -92,15 +98,14 @@ def _check_sft_pipeline(rng) -> float:
 
 
 CHECKS: Dict[str, Callable] = {
-    # add_n, concat_cols and concat_rows take [a, b, a]: a's gradient sums
-    # its two uses, as take_rows's does over a repeated row.
+    # add_n and concat_cols take [a, b, a]: a's gradient sums its two uses,
+    # as take_rows's does over a repeated row.
     "add": _weighted_check(nm.add, (4, 3), (4, 3)),
     "add_n": _weighted_check(lambda a, b: nm.add_n([a, b, a]), (3, 4), (3, 4)),
     "scale": _weighted_check(lambda x: nm.scale(x, -1.7), (4, 5)),
     # an array that broadcasts, as the anomaly head's validity mask does
     "scale_array": _weighted_check(lambda x: nm.scale(x, (np.arange(4.0) - 1.5)[:, None]), (4, 5)),
     "add_const": _weighted_check(lambda x: nm.add_const(x, np.eye(4, 5)), (4, 5)),
-    "mul": _weighted_check(nm.mul, (4, 4), (4, 4)),
     "matmul": _weighted_check(nm.matmul, (4, 6), (6, 5)),
     # the linear layers: a bias on the last axis, folded into the product
     "matmul_bias": _weighted_check(nm.matmul, (4, 6), (6, 5), (5,)),
@@ -131,12 +136,12 @@ CHECKS: Dict[str, Callable] = {
     # an index matrix gives a [2, 3] block; row 3 is in both
     "take_rows_2d": _weighted_check(
         lambda x: nm.take_rows(x, np.array([[1, 2, 3], [3, 4, 5]])), (6, 3)),
-    "concat_rows": _weighted_check(lambda a, b: nm.concat_rows([a, b, a]), (2, 3), (4, 3)),
+    # 3 sequences of 4 events, width 5: bos and pos sum over the sequences
+    "sequence_rows": _weighted_check(nm.sequence_rows, (3, 4, 5), (5,), (5, 5)),
     "normalize_rows": _weighted_check(nm.normalize_rows, (5, 4)),
     "row_diff": _weighted_check(nm.row_diff, (6, 3)),
     "row_diff_batched": _weighted_check(nm.row_diff, (2, 5, 3)),
     "reshape": _weighted_check(lambda x: nm.reshape(x, (2, 12)), (4, 6)),
-    "sum_all": _weighted_check(nm.sum_all, (3, 5)),
     "reconstruction_loss": _check_reconstruction,
     "infonce_loss": _check_infonce,
     "embed_infonce": _check_embed_infonce,

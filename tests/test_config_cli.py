@@ -287,7 +287,25 @@ def test_cli_finetune_sft_skips_short_user(scoring_run, tmp_path, capsys):
     normals = [r for r in records if r["label"] == 0]
     out.unlink()
     assert finetune(normals + [dict(short, label=1, anomaly_onset=0)]) == 1
-    assert "sample pools must be nonempty" in capsys.readouterr().err
+    assert (f"got 0 with label > 0 and {len(normals)} with label 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kept", ["normal", "fraud"])
+def test_cli_finetune_sft_names_the_missing_label(scoring_run, tmp_path, capsys, kept):
+    """A corpus of one label, as gen-data writes at fraud_fraction 0, fails
+    with both counts and no checkpoint."""
+    records = [r for r in scoring_run["records"] if (r["label"] > 0) == (kept == "fraud")]
+    data = write_records(tmp_path / "d.jsonl", records)
+    out = tmp_path / "sft.ckpt"
+    assert run_subcommand(["finetune-sft", "--config", scoring_run["cfg"],
+                           "--data", str(data), "--vocab", str(scoring_run["vocab"]),
+                           "--checkpoint", str(scoring_run["pre"]), "--out", str(out)]) == 1
+    n_pos, n_neg = (len(records), 0) if kept == "fraud" else (0, len(records))
+    err = capsys.readouterr().err
+    assert "SFT needs a user with label > 0 and a user with label 0" in err
+    assert f"got {n_pos} with label > 0 and {n_neg} with label 0" in err
     assert not out.exists()
 
 

@@ -65,6 +65,17 @@ def test_embed_concat_shape_and_position():
                              params["embed.1"].data[ids[:, 1]]], axis=1)
     expect = expect + params["pos"].data[[1, 2, 3]]
     np.testing.assert_allclose(out.data[1:4], expect, atol=1e-12)
+    # A batch of mixed lengths: every sequence's BOS row, events and padding.
+    batch = [ids, np.array([[3, 4]]), np.array([[2, 2], [1, 4], [3, 3], [3, 1], [1, 1]])]
+    rows = encode_batch(batch, params, cfg).x.data.reshape(len(batch), cfg.t_max + 1, -1)
+    pos = params["pos"].data
+    for seq, a in zip(rows, batch):
+        padded = np.zeros((cfg.t_max, 2), dtype=np.int64)
+        padded[:len(a)] = a
+        events = np.concatenate([params["embed.0"].data[padded[:, 0]],
+                                 params["embed.1"].data[padded[:, 1]]], axis=1)
+        np.testing.assert_array_equal(seq[0], params["bos"].data + pos[0])
+        np.testing.assert_array_equal(seq[1:], events + pos[1:])
 
 
 def test_embed_concat_single_dim_degenerate():
@@ -100,6 +111,11 @@ def test_embed_concat_errors():
                       np.ones((cfg.t_max + 1, 2), dtype=np.int64)], params, cfg)
     with pytest.raises(DimensionError):
         encode_batch([np.ones((3, 3), dtype=np.int64)], params, cfg)
+    # A pos of one row per column, as a hand-made checkpoint might hold it,
+    # would broadcast over every position.
+    flat_pos = dict(params, pos=Tensor(params["pos"].data[0]))
+    with pytest.raises(DimensionError, match="pos"):
+        encode_batch([np.ones((3, 2), dtype=np.int64)], flat_pos, cfg)
     assert encode_batch([np.ones((cfg.t_max, 2), dtype=np.int64)],
                         params, cfg).x.shape == (cfg.t_max + 1, cfg.d_model)
 

@@ -22,6 +22,11 @@ def rand64(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+def sum_of(x):
+    """The sum of x's entries, as a scalar tensor: its weighted sum under ones."""
+    return verify.weighted_sum(x, Tensor(np.ones_like(x.data)))
+
+
 # --- forward oracles ---------------------------------------------------------
 
 def test_matmul_identity():
@@ -121,7 +126,7 @@ def test_attention_is_bitwise_the_chain_of_single_ops(rows):
     tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
     with GradTape() as tape:
         out = ops.attention(tq, tk, tv, heads, r, query_rows)
-        tape.backward(ops.sum_all(ops.mul(out, Tensor(g))))
+        tape.backward(verify.weighted_sum(out, Tensor(g)))
     want = _attention_chain(q, k, v, g, heads, r, query_rows)
     for got, w in zip((out.data, tq.grad, tk.grad, tv.grad), want):
         assert got.dtype == np.float32 and got.shape == w.shape
@@ -243,7 +248,7 @@ def test_max_over_time_batched_forward_ties_to_earliest():
              [[0.0, -1.0], [0.0, -2.0], [-1.0, -3.0]]])
     with GradTape() as tape:
         out = ops.max_over_time(x)
-        tape.backward(ops.sum_all(out))
+        tape.backward(sum_of(out))
     np.testing.assert_array_equal(out.data, [[3.0, 2.0], [0.0, -1.0]])
     np.testing.assert_array_equal(x.grad, [[[0, 1], [1, 0], [0, 0]],
                                            [[1, 1], [0, 0], [0, 0]]])
@@ -274,10 +279,45 @@ def test_flat_scatter_is_bitwise_np_add_at(table_shape, idx):
     table = Tensor(rng.standard_normal(table_shape).astype(np.float32), requires_grad=True)
     values = rng.standard_normal(idx.shape + table_shape[1:]).astype(np.float32)
     with GradTape() as tape:
-        tape.backward(ops.sum_all(ops.mul(ops.take_rows(table, idx), Tensor(values))))
+        tape.backward(verify.weighted_sum(ops.take_rows(table, idx), Tensor(values)))
     want = np.zeros_like(table.data)
     np.add.at(want, idx, values)
     assert table.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 33, 64), (1, 5, 3), (17, 9, 2), (40, 3, 1)],
+                         ids=["pretrain", "one_sequence", "narrow", "one_column"])
+def test_sequence_rows_gradients_are_a_loop_over_the_batch(shape):
+    """The bos and pos gradients are the bits of adding each sequence's
+    gradient rows to zeros in batch order, as the gather of one bos row and
+    of a tiled pos table summed them; the events get their rows' gradient."""
+    rng = np.random.default_rng(13)
+    b, r, d = shape
+    events, bos, pos = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                        for s in ((b, r - 1, d), (d,), (r, d)))
+    g = rng.standard_normal((b * r, d)).astype(np.float32)
+    with GradTape() as tape:
+        out = ops.sequence_rows(events, bos, pos)
+        tape.backward(verify.weighted_sum(out, Tensor(g)))
+    g = g.reshape(b, r, d)
+    want_bos, want_pos = np.zeros(d, np.float32), np.zeros((r, d), np.float32)
+    for i in range(b):
+        want_bos += g[i, 0]
+        want_pos += g[i]
+    assert bos.grad.tobytes() == want_bos.tobytes()
+    assert pos.grad.tobytes() == want_pos.tobytes()
+    assert events.grad.tobytes() == np.ascontiguousarray(g[:, 1:]).tobytes()
+
+
+def test_sequence_rows_refuses_bos_and_pos_of_the_wrong_shape():
+    events = t64(np.zeros((2, 3, 4)))
+    bos, pos = t64(np.zeros(4)), t64(np.zeros((4, 4)))
+    assert ops.sequence_rows(events, bos, pos).shape == (8, 4)
+    # A pos of one row per column would broadcast over every position.
+    for bad in ((events, bos, t64(np.zeros(4))), (events, bos, t64(np.zeros((3, 4)))),
+                (events, t64(np.zeros((1, 4))), pos), (t64(np.zeros((6, 4))), bos, pos)):
+        with pytest.raises(DimensionError, match="sequence_rows"):
+            ops.sequence_rows(*bad)
 
 
 def test_softmax_rows_sums_to_one():
@@ -299,7 +339,7 @@ def test_fanout_accumulates_both_paths():
     x = t64([2.0, -1.0, 3.0])
     with GradTape() as tape:
         y = ops.add(x, x)  # y = 2x; dy/dx = 2 per use
-        loss = ops.sum_all(y)
+        loss = sum_of(y)
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0)
     # Backward frees each record and each op output's gradient as it goes.
@@ -316,7 +356,7 @@ def test_fanout_inputs_get_gradients_of_their_own(total):
     # contribution added in place, which must not reach b or c.
     a, b, c = (t64(np.zeros(3)) for _ in range(3))
     with GradTape() as tape:
-        tape.backward(ops.sum_all(total(a, b, c)))
+        tape.backward(sum_of(total(a, b, c)))
     np.testing.assert_array_equal(a.grad, 2.0)
     np.testing.assert_array_equal(b.grad, 1.0)
     grads = [t.grad for t in (a, b, c) if t.grad is not None]
@@ -326,7 +366,7 @@ def test_fanout_inputs_get_gradients_of_their_own(total):
 def test_second_backward_on_a_consumed_tape_raises():
     x = t64([2.0, -1.0, 3.0])
     with GradTape() as tape:
-        loss = ops.sum_all(ops.add(x, x))
+        loss = sum_of(ops.add(x, x))
     tape.backward(loss)
     with pytest.raises(RuntimeError, match="tape already consumed"):
         tape.backward(loss)
@@ -343,7 +383,7 @@ def test_matmul_bias_is_bitwise_matmul_then_add(shapes):
     a, w, bias = (Tensor(arr, requires_grad=True) for arr in arrays[:3])
     with GradTape() as tape:
         out = ops.matmul(a, w, bias)
-        tape.backward(ops.sum_all(ops.mul(out, Tensor(arrays[3]))))
+        tape.backward(verify.weighted_sum(out, Tensor(arrays[3])))
     # The unfused reference: the matmul, then the bias add and its gradients.
     g = arrays[3]
     want = (arrays[0] @ arrays[1] + arrays[2], g @ arrays[1].swapaxes(-1, -2),
@@ -411,8 +451,8 @@ def test_backward_skips_constants_and_scatters_onto_a_held_gradient():
     with GradTape() as tape:
         rows = ops.take_rows(table, idx)  # recorded first, so its scatter runs last
         tied = ops.matmul_t(h, table)     # the tied decoder's part lands first
-        tape.backward(ops.add(ops.sum_all(ops.mul(rows, w_rows)),
-                              ops.sum_all(ops.mul(tied, w_tied))))
+        tape.backward(ops.add(verify.weighted_sum(rows, w_rows),
+                              verify.weighted_sum(tied, w_tied)))
     # Constant inputs get no gradient.
     assert all(t.grad is None for t in (h, w_rows, w_tied))
     # The tied part is adopted; the rows, scattered into zeros, are added to it.
@@ -426,7 +466,7 @@ def test_backward_skips_constants_and_scatters_onto_a_held_gradient():
 def test_matmul_gradient_property(seed):
     rng = np.random.default_rng(seed)
     a, b = rand64(rng, 2, 3), rand64(rng, 3, 2)
-    err = grad_check(lambda: ops.sum_all(ops.matmul(a, b)), [a, b],
+    err = grad_check(lambda: sum_of(ops.matmul(a, b)), [a, b],
                      np.random.default_rng(seed), n_probes=6)
     assert err < 1e-4
 
@@ -490,13 +530,14 @@ def test_adam_determinism():
 def test_adam_minimize_builds_a_fresh_tape_each_step():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Adam({"w": w}, lr=0.1)
-    assert opt.minimize(lambda: ops.sum_all(ops.mul(w, w))) == 5.0
+    # Both factors are w, so the gradient is 2w.
+    assert opt.minimize(lambda: verify.weighted_sum(w, w)) == 5.0
     assert opt.t == 1
     # A first Adam step moves each entry by about lr against its gradient.
     np.testing.assert_allclose(w.data, [0.9, -1.9], atol=1e-6)
     before = w.data.copy()
     with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
-        opt.minimize(lambda: ops.scale(ops.sum_all(w), np.inf))
+        opt.minimize(lambda: ops.scale(sum_of(w), np.inf))
     np.testing.assert_array_equal(w.data, before)
     assert opt.t == 1
 

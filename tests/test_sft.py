@@ -12,6 +12,7 @@ from fraudformer.sft import (AnomalyHeadConfig, SequenceTooShortError,
                              SftConfig, batch_class_logits,
                              epoch_batches, finetune_sft, head_features,
                              init_head_params, score_users)
+from fraudformer.verify import weighted_sum
 from fraudformer.model import causal_forward, encode_batch, init_params
 from tests.conftest import f64_params, tiny_model_config
 
@@ -120,7 +121,8 @@ def test_head_zero_input_sends_no_gradient_to_bos_or_padding():
     h = Tensor(np.zeros((3 * 9, 4)), requires_grad=True)
     lengths = np.array([8, 4, 6])
     with GradTape() as tape:
-        tape.backward(ops.sum_all(head_features(h, lengths, cfg, params)))
+        features = head_features(h, lengths, cfg, params)
+        tape.backward(weighted_sum(features, Tensor(np.ones_like(features.data))))
     grad = h.grad.reshape(3, 9, 4)
     for b, n in enumerate(lengths):
         np.testing.assert_array_equal(grad[b, 0], 0.0)           # BOS
