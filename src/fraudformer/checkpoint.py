@@ -22,9 +22,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import from_json, to_json
-from .model import ModelConfig
+from .model import ModelConfig, param_table
 from .numerics import Tensor
-from .sft import AnomalyHeadConfig
+from .sft import AnomalyHeadConfig, head_param_table
 
 __all__ = [
     "MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint",
@@ -117,6 +117,21 @@ def _config(path, cls, obj: dict):
     return from_json(cls, obj)
 
 
+def _check_params(path, params: Dict[str, Tensor], model: ModelConfig,
+                  head: Optional[AnomalyHeadConfig]) -> None:
+    """Raise unless ``params`` has exactly the names and shapes that the
+    checkpoint's own model config, and its head config if any, imply."""
+    table = {**param_table(model), **(head_param_table(head, model.d_model) if head else {})}
+    want = {name: shape for name, (shape, _) in table.items()}
+    got = {name: t.data.shape for name, t in params.items()}
+    faults = [f"parameter {name!r} is missing" for name in want if name not in got]
+    faults += [f"parameter {name!r} is not one of the config's" for name in got if name not in want]
+    faults += [f"parameter {name!r} has shape {list(got[name])}, the config implies "
+               f"{list(shape)}" for name, shape in want.items() if got.get(name, shape) != shape]
+    if faults:
+        raise ShapeError(f"{path}: {'; '.join(faults)}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -155,5 +170,6 @@ def load_checkpoint(path) -> Checkpoint:
         params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
     model = _config(path, ModelConfig, config["model"])
     head = _config(path, AnomalyHeadConfig, config["head"]) if config["head"] else None
+    _check_params(path, params, model, head)
     return Checkpoint(params=params, model=model, head=head,
                       kind=config["kind"], meta=config.get("meta", {}))

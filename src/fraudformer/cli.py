@@ -10,28 +10,25 @@ import contextlib
 import csv
 import ctypes
 import functools
-import gc
+import io
 import itertools
 import os
-import pickle
-import signal
 import sys
 import time
-import warnings
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import contrastive as cl
 from . import evaluation as ev
+from . import parallel
 from . import sft as sft_mod
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .data import (BehaviorSequence, generate_corpus, iter_numbered_jsonl, numbered_lines,
-                   parse_jsonl_line, read_jsonl, read_vocab, window_sample, write_jsonl,
-                   write_vocab)
+from .data import (GEN_BLOCK, BehaviorSequence, generate_corpus, iter_numbered_jsonl,
+                   numbered_lines, parse_jsonl_line, read_jsonl, read_vocab, window_sample,
+                   write_jsonl, write_vocab)
 from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
@@ -124,11 +121,31 @@ def _write_corpus(path, vocab_path, corpus: Sequence[BehaviorSequence], vocab) -
         write_vocab(fh, vocab)
 
 
+def _gen_part(cfg, part: int, parts: int) -> Iterator[Tuple[int, str]]:
+    """Per block ``part``, ``part + parts``, ... of the corpus: its user
+    count and its JSONL text."""
+    users = generate_corpus(cfg, part, parts)
+    for lo in range(0, len(users), GEN_BLOCK):
+        block, text = users[lo:lo + GEN_BLOCK], io.StringIO()
+        write_jsonl(text, block)
+        yield len(block), text.getvalue()
+
+
 def cmd_gen_data(args) -> int:
+    """Generate the corpus, its blocks of ``GEN_BLOCK`` users split between
+    ``parallel.workers()`` processes where there are two blocks or more."""
     gen_cfg = _load_cfg(args).generator_config()
-    corpus = generate_corpus(gen_cfg)
-    _write_corpus(args.out, _vocab_path(args), corpus, gen_cfg.vocab)
-    print(f"wrote {len(corpus)} sequences to {args.out}")
+    fork = parallel.workers() == 2 and gen_cfg.n_users > GEN_BLOCK
+    n_users = 0
+    with contextlib.closing(parallel.interleave_parts(functools.partial(_gen_part, gen_cfg),
+                                                      fork)) as blocks, \
+            atomic_open(args.out) as fh:
+        for count, text in blocks:
+            fh.write(text)
+            n_users += count
+    with atomic_open(_vocab_path(args)) as fh:
+        write_vocab(fh, gen_cfg.vocab)
+    print(f"wrote {n_users} sequences to {args.out}")
     return 0
 
 
@@ -281,7 +298,7 @@ def _embed_part(path, ckpt: Checkpoint, part: int, parts: int,
 
 def cmd_embed(args) -> int:
     """Embed each user's most recent ``t_max`` events, ``EMBED_CHUNK`` users
-    at a time, split between ``embed_workers()`` processes by block where
+    at a time, split between ``parallel.workers()`` processes by block where
     ``--data`` is a regular file: both processes open it, and a pipe's lines
     would be split between their reads."""
     ckpt = load_checkpoint(args.checkpoint)  # any kind: every checkpoint has a backbone
@@ -289,8 +306,8 @@ def cmd_embed(args) -> int:
     first_line: Dict[str, int] = {}
     n_users = 0
     part = functools.partial(_embed_part, args.data, ckpt)
-    fork = embed_workers() == 2 and os.path.isfile(args.data)
-    with contextlib.closing(interleave_parts(part, fork)) as blocks, \
+    fork = parallel.workers() == 2 and os.path.isfile(args.data)
+    with contextlib.closing(parallel.interleave_parts(part, fork)) as blocks, \
             atomic_open(args.out) as fh:
         fh.write(f"user_id,{header}\n")
         for pairs, text, error in blocks:
@@ -476,121 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_smoke)
 
     return parser
-
-
-@functools.cache
-def _openblas_threads() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None where numpy does not carry them (another BLAS, another build)."""
-    try:
-        from numpy._core import _multiarray_umath
-        # dlsym on the extension's handle also searches the libraries it links.
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
-
-
-def embed_workers() -> int:
-    """Processes that ``embed`` splits its blocks between: one per allowed
-    CPU, at most 2, where numpy's OpenBLAS can be pinned to one thread; else 1.
-    Two processes at OpenBLAS's default threads each ran 6x slower than one."""
-    if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(2, len(os.sched_getaffinity(0)))
-
-
-def _serve(part: Callable[[int, int], Iterator], sink) -> NoReturn:
-    """The forked child's whole life: pickle each item of ``part(1, 2)``,
-    then an end or the first exception's text, into ``sink``; then exit,
-    running none of the cleanup that the fork copied from the parent."""
-    code = 1
-    try:
-        # Garbage made before the fork is the parent's to collect: its finalizers
-        # (an unflushed file's, say) must not run here as well.
-        gc.freeze()
-        try:
-            for item in part(1, 2):
-                sink.write(pickle.dumps(("item", item)))
-                sink.flush()
-            last = ("end", None)
-        except Exception as exc:
-            last = ("error", str(exc))
-        sink.write(pickle.dumps(last))
-        sink.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def interleave_parts(part: Callable[[int, int], Iterator], fork: bool) -> Iterator:
-    """The items of ``part(0, n)``, ``part(1, n)``, ... taken in turn, one
-    each, until one part runs out. ``part(w, n)`` yields the items of blocks
-    w, w + n, w + 2n, ... of an input, so they come in input order.
-
-    Without ``fork`` n is 1 and the one part runs in this process. With it
-    n is 2: part 1 runs in a forked child that pickles its items through a
-    pipe, whose capacity bounds how far it runs ahead, and both processes
-    run OpenBLAS at one thread until the child is gone. An exception in the
-    child comes back as a ``RuntimeError`` with its text, and so does its
-    death. Closing the iterator kills and reaps the child, so none outlives
-    it."""
-    if not fork:
-        yield from part(0, 1)
-        return
-    get_threads, set_threads = _openblas_threads()
-    threads = get_threads()
-    set_threads(1)
-    pid, reaped = None, False
-
-    def received(pipe) -> Iterator:
-        nonlocal reaped
-        while True:
-            try:
-                kind, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # a record cut short
-                status = os.waitpid(pid, 0)[1]
-                reaped = True
-                raise RuntimeError(f"the worker process exited with status "
-                                   f"{os.waitstatus_to_exitcode(status)} before its "
-                                   f"last block") from None
-            if kind == "end":
-                return
-            if kind == "error":
-                raise RuntimeError(value)
-            yield value
-
-    try:
-        read_fd, write_fd = os.pipe()
-        with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-            with warnings.catch_warnings():
-                # Python 3.12 on warns that a fork in a process with threads may
-                # deadlock. The only other threads are OpenBLAS's, idle at one
-                # thread, and OpenBLAS's atfork handler stops them before a fork.
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                # A read end left open here would keep a write to a full pipe
-                # blocked for ever once the parent is gone.
-                pipe.close()
-                _serve(part, sink)
-            sink.close()
-            done = object()
-            for source in itertools.cycle((part(0, 2), received(pipe))):
-                item = next(source, done)
-                if item is done:
-                    return
-                yield item
-    finally:
-        if pid and not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        set_threads(threads)
 
 
 @functools.cache

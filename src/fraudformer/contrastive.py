@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
+from . import parallel
 from .data import BehaviorSequence, window_sample
 from .model import ModelConfig, causal_forward, encode_batch
 from .rng import child_rng, shuffled_batches
@@ -104,18 +105,15 @@ def finetune_contrastive(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     if len(corpus) < cfg.batch_size:
         raise ValueError(f"corpus of {len(corpus)} smaller than batch size {cfg.batch_size}")
     opt = nm.Adam(backbone, lr=cfg.lr)
-    batches = shuffled_batches(len(corpus), cfg.batch_size, cfg.steps, cfg.seed, "cl-order")
-    curve: List[Tuple[int, float]] = []
-    for step, picks in enumerate(batches):
+    batches = list(shuffled_batches(len(corpus), cfg.batch_size, cfg.steps, cfg.seed, "cl-order"))
+
+    def batch_loss(step: int, shard: int, leaves: Dict[str, nm.Tensor]):
         wrng = child_rng(cfg.seed, "cl-window", step)
-        ids = [window_sample(corpus[i], model_cfg.t_max, wrng) for i in picks]
-        rng_a = child_rng(cfg.seed, "cl-view-a", step)
-        rng_b = child_rng(cfg.seed, "cl-view-b", step)
+        ids = [window_sample(corpus[i], model_cfg.t_max, wrng) for i in batches[step]]
+        v = embed_batch(ids, leaves, model_cfg, child_rng(cfg.seed, "cl-view-a", step))
+        v_plus = embed_batch(ids, leaves, model_cfg, child_rng(cfg.seed, "cl-view-b", step))
+        return infonce_loss(v, v_plus, cfg.tau), 0
 
-        def loss_fn() -> nm.Tensor:
-            v = embed_batch(ids, backbone, model_cfg, rng_a)
-            v_plus = embed_batch(ids, backbone, model_cfg, rng_b)
-            return infonce_loss(v, v_plus, cfg.tau)
-
-        curve.append((step, opt.minimize(loss_fn)))
-    return backbone, curve
+    # One shard: InfoNCE couples every row of the batch to every other.
+    steps = parallel.train_steps(opt, len(batches), batch_loss, shards=1)
+    return backbone, [(step, loss) for step, (loss, _) in enumerate(steps)]

@@ -382,22 +382,33 @@ def _generate_block(cfg: GeneratorConfig, personas: _Personas,
                 factors[b, t] = _fraud_event(ids[b, t], s.label, s.rng, personas.dim, cards)
         # Regime-forced tokens can sit outside the normal band; clamp.
         prev = np.clip(ids[:, t] - personas.offsets, 0, personas.tops)
-    out = []
-    for b, s in enumerate(starts):
-        seq_ids = ids[b, :s.t_len].copy()
-        if amt_d is not None:
-            seq_ids[:, amt_d] = [
-                bucketize_amount(math.exp(z) * f, cards[amt_d])
-                for z, f in zip(log_amounts[b, :s.t_len].tolist(), factors[b, :s.t_len].tolist())]
-        out.append(BehaviorSequence(f"u{s.index:07d}", seq_ids, s.label, s.onset))
-    return out
+    if amt_d is not None:
+        events = np.arange(T) < np.array([s.t_len for s in starts])[:, None]
+        ids[events, amt_d] = _amount_tokens(log_amounts[events], factors[events], cards[amt_d])
+    return [BehaviorSequence(f"u{s.index:07d}", ids[b, :s.t_len].copy(), s.label, s.onset)
+            for b, s in enumerate(starts)]
 
 
-def generate_corpus(cfg: GeneratorConfig) -> List[BehaviorSequence]:
-    """Synthesize the full corpus; fully determined by cfg.seed."""
+def _amount_tokens(log_amounts: np.ndarray, factors: np.ndarray, buckets: int) -> np.ndarray:
+    """``bucketize_amount(math.exp(z) * f, buckets)`` for every (z, f) at once.
+    numpy's exp and log2 may differ from math's in the last bit, which can
+    move a token only at a bucket edge, so a log2 within 1e-9 of an integer
+    takes the scalar path."""
+    levels = np.log2(1.0 + np.exp(log_amounts) * factors)
+    tokens = 1 + np.minimum(np.floor(levels), buckets - 2).astype(np.int64)
+    for i in np.flatnonzero(np.abs(levels - np.rint(levels)) < 1e-9):
+        tokens[i] = bucketize_amount(math.exp(log_amounts[i]) * factors[i], buckets)
+    return tokens
+
+
+def generate_corpus(cfg: GeneratorConfig, part: int = 0, parts: int = 1,
+                    ) -> List[BehaviorSequence]:
+    """The users of blocks ``part``, ``part + parts``, ... of the corpus, in
+    order, ``GEN_BLOCK`` users to a block: by default the whole corpus. Fully
+    determined by cfg.seed; a block does not depend on which others are made."""
     personas = _Personas(cfg)
     corpus: List[BehaviorSequence] = []
-    for lo in range(0, cfg.n_users, GEN_BLOCK):
+    for lo in range(part * GEN_BLOCK, cfg.n_users, parts * GEN_BLOCK):
         corpus += _generate_block(cfg, personas, range(lo, min(lo + GEN_BLOCK, cfg.n_users)))
     return corpus
 

@@ -17,14 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
+from . import parallel
 from .data import BehaviorSequence, VocabSpec, window_sample
 from .rng import child_rng, shuffled_batches
 
 __all__ = [
-    "ModelConfig", "PretrainConfig", "allocate_widths", "init_params",
+    "ModelConfig", "PretrainConfig", "allocate_widths", "param_table", "init_params",
     "param_count", "EncodedBatch", "encode_batch",
     "causal_forward", "reconstruct_logits", "reconstruction_loss",
-    "batch_reconstruction_loss", "pretrain_loop",
+    "batch_reconstruction_loss", "shard_reconstruction_loss", "pretrain_loop",
 ]
 
 
@@ -107,37 +108,37 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return x.astype(dtype)
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator,
-                dtype=np.float32) -> Dict[str, nm.Tensor]:
-    """Fresh backbone parameters; all weights trainable leaves."""
-    std = 0.02
-    p: Dict[str, nm.Tensor] = {}
+# name -> (shape, fill): a fill of None is a random draw, a number a constant.
+ParamTable = Dict[str, Tuple[Tuple[int, ...], Optional[float]]]
 
-    def leaf(name, arr):
-        p[name] = nm.Tensor(arr, requires_grad=True)
 
-    for d, (v, w) in enumerate(zip(cfg.cardinalities, cfg.d_k)):
-        leaf(f"embed.{d}", _trunc_normal(rng, (v, w), std, dtype))
-    leaf("pos", _trunc_normal(rng, (cfg.t_max + 1, cfg.d_model), std, dtype))
-    leaf("bos", _trunc_normal(rng, (cfg.d_model,), std, dtype))
+def param_table(cfg: ModelConfig) -> ParamTable:
+    """Every backbone parameter, in the order ``init_params`` draws them; a
+    checkpoint's backbone must have exactly these names and shapes."""
     dm, dh = cfg.d_model, 4 * cfg.d_model
+    table: ParamTable = {f"embed.{d}": ((v, w), None)
+                         for d, (v, w) in enumerate(zip(cfg.cardinalities, cfg.d_k))}
+    table["pos"] = ((cfg.t_max + 1, dm), None)
+    table["bos"] = ((dm,), None)
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
-        leaf(f"{pre}.ln1.g", np.ones(dm, dtype=dtype))
-        leaf(f"{pre}.ln1.b", np.zeros(dm, dtype=dtype))
-        for nme in ("wq", "wk", "wv", "wo"):
-            leaf(f"{pre}.attn.{nme}", _trunc_normal(rng, (dm, dm), std, dtype))
-        for nme in ("bq", "bk", "bv", "bo"):
-            leaf(f"{pre}.attn.{nme}", np.zeros(dm, dtype=dtype))
-        leaf(f"{pre}.ln2.g", np.ones(dm, dtype=dtype))
-        leaf(f"{pre}.ln2.b", np.zeros(dm, dtype=dtype))
-        leaf(f"{pre}.mlp.w1", _trunc_normal(rng, (dm, dh), std, dtype))
-        leaf(f"{pre}.mlp.b1", np.zeros(dh, dtype=dtype))
-        leaf(f"{pre}.mlp.w2", _trunc_normal(rng, (dh, dm), std, dtype))
-        leaf(f"{pre}.mlp.b2", np.zeros(dm, dtype=dtype))
-    leaf("ln_f.g", np.ones(dm, dtype=dtype))
-    leaf("ln_f.b", np.zeros(dm, dtype=dtype))
-    return p
+        table.update({f"{pre}.ln1.g": ((dm,), 1.0), f"{pre}.ln1.b": ((dm,), 0.0)})
+        table.update({f"{pre}.attn.{w}": ((dm, dm), None) for w in ("wq", "wk", "wv", "wo")})
+        table.update({f"{pre}.attn.{b}": ((dm,), 0.0) for b in ("bq", "bk", "bv", "bo")})
+        table.update({f"{pre}.ln2.g": ((dm,), 1.0), f"{pre}.ln2.b": ((dm,), 0.0),
+                      f"{pre}.mlp.w1": ((dm, dh), None), f"{pre}.mlp.b1": ((dh,), 0.0),
+                      f"{pre}.mlp.w2": ((dh, dm), None), f"{pre}.mlp.b2": ((dm,), 0.0)})
+    table.update({"ln_f.g": ((dm,), 1.0), "ln_f.b": ((dm,), 0.0)})
+    return table
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator,
+                dtype=np.float32) -> Dict[str, nm.Tensor]:
+    """Fresh backbone parameters, all trainable leaves: each weight drawn
+    from a normal(0, 0.02) cut at 2 std, each norm gain 1 and bias 0."""
+    return {name: nm.Tensor(_trunc_normal(rng, shape, 0.02, dtype) if fill is None
+                            else np.full(shape, fill, dtype=dtype), requires_grad=True)
+            for name, (shape, fill) in param_table(cfg).items()}
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -291,21 +292,36 @@ class PretrainConfig:
             raise ValueError(f"pretrain.batch_size must be >= 1, got {self.batch_size}")
 
 
+def shard_reconstruction_loss(id_arrays: Sequence[np.ndarray], shard: int,
+                              params: Dict[str, nm.Tensor], cfg: ModelConfig,
+                              rng: Optional[np.random.Generator] = None) -> nm.Tensor:
+    """Shard ``shard`` (``parallel.shard_slice``) of a batch's next-event
+    loss, weighted by the shard's share of the batch's valid rows, so that
+    the two shards' losses sum to the batch's."""
+    mine = id_arrays[parallel.shard_slice(len(id_arrays), shard)]
+    share = sum(len(a) for a in mine) / sum(len(a) for a in id_arrays)
+    return nm.scale(batch_reconstruction_loss(mine, params, cfg, rng), share)
+
+
 def pretrain_loop(corpus: Sequence[BehaviorSequence], cfg: ModelConfig, train_cfg: PretrainConfig,
                   ) -> Tuple[Dict[str, nm.Tensor], List[Tuple[int, float]]]:
     """Next-event pretraining on ``t_max`` windows from fresh parameters;
-    returns the parameters and the (step, loss) curve."""
+    returns the parameters and the (step, loss) curve. Each step's batch
+    runs as two shards (``parallel.train_steps``), each with its own
+    dropout stream."""
     if not corpus:
         raise ValueError("pretraining corpus is empty")
     params = init_params(cfg, child_rng(train_cfg.seed, "init"))
     opt = nm.Adam(params, lr=train_cfg.lr)
-    batches = shuffled_batches(len(corpus), train_cfg.batch_size, train_cfg.steps,
-                               train_cfg.seed, "pretrain-order")
-    curve: List[Tuple[int, float]] = []
-    for step, picks in enumerate(batches):
+    batches = list(shuffled_batches(len(corpus), train_cfg.batch_size, train_cfg.steps,
+                                    train_cfg.seed, "pretrain-order"))
+
+    def shard_loss(step: int, shard: int, leaves: Dict[str, nm.Tensor]):
         wrng = child_rng(train_cfg.seed, "pretrain-window", step)
-        ids = [window_sample(corpus[i], cfg.t_max, wrng) for i in picks]
-        drng = child_rng(train_cfg.seed, "pretrain-dropout", step)
-        loss = opt.minimize(lambda: batch_reconstruction_loss(ids, params, cfg, drng))
-        curve.append((step, loss))
-    return params, curve
+        ids = [window_sample(corpus[i], cfg.t_max, wrng) for i in batches[step]]
+        drng = child_rng(train_cfg.seed, "pretrain-dropout", step, shard)
+        return shard_reconstruction_loss(ids, shard, leaves, cfg, drng), 0
+
+    # A batch of one window has no shard 1.
+    steps = parallel.train_steps(opt, len(batches), shard_loss, min(2, train_cfg.batch_size))
+    return params, [(step, loss) for step, (loss, _) in enumerate(steps)]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .tensor import GradTape, Tensor
+from .tensor import Tensor
 
 __all__ = ["Adam", "NonFiniteGradientError"]
 
@@ -63,17 +62,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def minimize(self, loss_fn: Callable[[], Tensor]) -> float:
-        """One training step: build ``loss_fn()`` on a fresh tape, then zero the
-        gradients, backpropagate and step. Returns the loss value; a non-finite
-        loss raises before any parameter changes."""
-        with GradTape() as tape:
-            loss = loss_fn()
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise RuntimeError(f"non-finite loss at step {self.t}")
-        self.zero_grad()
-        tape.backward(loss)
-        self.step()
-        return value

@@ -32,14 +32,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics as nm
+from . import parallel
 from .data import BehaviorSequence, window_sample
-from .model import ModelConfig, causal_forward, encode_batch
+from .model import ModelConfig, ParamTable, causal_forward, encode_batch
 from .rng import child_rng
 
 __all__ = [
     "AnomalyHeadConfig", "SftConfig",
-    "init_head_params", "head_features", "batch_class_logits",
-    "epoch_batches", "finetune_sft", "score_users",
+    "head_param_table", "init_head_params", "head_features", "batch_class_logits",
+    "shard_class_loss", "epoch_batches", "finetune_sft", "score_users",
 ]
 
 
@@ -84,25 +85,28 @@ class AnomalyHeadConfig:
         return len(self.kernel_sizes) * self.filters
 
 
+def head_param_table(cfg: AnomalyHeadConfig, d_model: int) -> ParamTable:
+    """Every head parameter, in the order ``init_head_params`` draws them; an
+    sft checkpoint must hold exactly these besides its backbone."""
+    table: ParamTable = {}
+    for k in cfg.kernel_sizes:
+        table[f"head.conv{k}.w"] = ((k, d_model, cfg.filters), None)
+        table[f"head.conv{k}.b"] = ((cfg.filters,), 0.0)
+    table.update({"head.mlp.w1": ((cfg.feature_width, cfg.hidden), None),
+                  "head.mlp.b1": ((cfg.hidden,), 0.0),
+                  "head.mlp.w2": ((cfg.hidden, 2), None),
+                  "head.mlp.b2": ((2,), 0.0)})
+    return table
+
+
 def init_head_params(cfg: AnomalyHeadConfig, d_model: int,
                      rng: np.random.Generator, dtype=np.float32) -> Dict[str, nm.Tensor]:
-    p: Dict[str, nm.Tensor] = {}
-    for k in cfg.kernel_sizes:
-        scale = 1.0 / math.sqrt(k * d_model)
-        p[f"head.conv{k}.w"] = nm.Tensor(
-            rng.normal(0.0, scale, size=(k, d_model, cfg.filters)).astype(dtype),
-            requires_grad=True)
-        p[f"head.conv{k}.b"] = nm.Tensor(np.zeros(cfg.filters, dtype=dtype), requires_grad=True)
-    nf = cfg.feature_width
-    p["head.mlp.w1"] = nm.Tensor(
-        rng.normal(0.0, 1.0 / math.sqrt(nf), size=(nf, cfg.hidden)).astype(dtype),
-        requires_grad=True)
-    p["head.mlp.b1"] = nm.Tensor(np.zeros(cfg.hidden, dtype=dtype), requires_grad=True)
-    p["head.mlp.w2"] = nm.Tensor(
-        rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden), size=(cfg.hidden, 2)).astype(dtype),
-        requires_grad=True)
-    p["head.mlp.b2"] = nm.Tensor(np.zeros(2, dtype=dtype), requires_grad=True)
-    return p
+    """Fresh head parameters: each weight drawn from normal(0, 1 / sqrt(fan-in)),
+    its fan-in being the product of all its axes but the last; biases 0."""
+    return {name: nm.Tensor(
+        rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[:-1])), size=shape).astype(dtype)
+        if fill is None else np.full(shape, fill, dtype=dtype), requires_grad=True)
+        for name, (shape, fill) in head_param_table(cfg, d_model).items()}
 
 
 def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
@@ -193,13 +197,28 @@ def epoch_batches(pos_pool: Sequence, neg_pool: Sequence, cfg: SftConfig,
     return batches
 
 
+def shard_class_loss(id_arrays: Sequence[np.ndarray], labels: np.ndarray, shard: int,
+                     params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
+                     head_cfg: AnomalyHeadConfig, rng: Optional[np.random.Generator] = None,
+                     ) -> Tuple[nm.Tensor, int]:
+    """Shard ``shard`` (``parallel.shard_slice``) of a batch's classification
+    loss, weighted by the shard's share of the batch's sequences, so that the
+    two shards' losses sum to the batch's; and the shard's correct argmaxes."""
+    part = parallel.shard_slice(len(id_arrays), shard)
+    logits = batch_class_logits(id_arrays[part], params, model_cfg, head_cfg, rng)
+    hits = int((logits.data.argmax(axis=1) == labels[part]).sum())
+    share = len(labels[part]) / len(labels)
+    return nm.scale(nm.softmax_ce(logits, labels[part]), share), hits
+
+
 def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                  corpus: Sequence[BehaviorSequence], head_cfg: AnomalyHeadConfig,
                  cfg: SftConfig) -> Tuple[Dict[str, nm.Tensor], List[dict]]:
     """Fine-tune backbone (at a reduced rate) plus a fresh anomaly head.
 
     Returns the merged parameter dict and per-epoch metrics
-    (mean loss, training accuracy).
+    (mean loss, training accuracy). Each step's batch runs as two shards
+    (``parallel.train_steps``), each with its own dropout stream.
     """
     pos = [s for s in corpus if s.label > 0]
     neg = [s for s in corpus if s.label == 0]
@@ -207,25 +226,23 @@ def finetune_sft(backbone: Dict[str, nm.Tensor], model_cfg: ModelConfig,
     params.update(init_head_params(head_cfg, model_cfg.d_model, child_rng(cfg.seed, "head-init")))
     mult = {name: cfg.backbone_lr_mult for name in backbone}
     opt = nm.Adam(params, lr=cfg.lr, lr_mult=mult)
+    epochs = [epoch_batches(pos, neg, cfg, epoch) for epoch in range(cfg.epochs)]
+    batches = [batch for epoch in epochs for batch in epoch]
+
+    def shard_loss(step: int, shard: int, leaves: Dict[str, nm.Tensor]):
+        wrng = child_rng(cfg.seed, "sft-window", step)
+        ids = [window_sample(s, model_cfg.t_max, wrng) for s in batches[step]]
+        labels = np.array([int(s.label > 0) for s in batches[step]])
+        drng = child_rng(cfg.seed, "sft-dropout", step, shard)
+        return shard_class_loss(ids, labels, shard, leaves, model_cfg, head_cfg, drng)
+
+    steps = iter(parallel.train_steps(opt, len(batches), shard_loss))
     metrics: List[dict] = []
-    for epoch in range(cfg.epochs):
-        losses, hits, total = [], 0, 0
-        for batch_seqs in epoch_batches(pos, neg, cfg, epoch):
-            wrng = child_rng(cfg.seed, "sft-window", opt.t)
-            ids = [window_sample(s, model_cfg.t_max, wrng) for s in batch_seqs]
-            labels = np.array([int(s.label > 0) for s in batch_seqs])
-            drng = child_rng(cfg.seed, "sft-dropout", opt.t)
-
-            def loss_fn() -> nm.Tensor:
-                nonlocal hits
-                logits = batch_class_logits(ids, params, model_cfg, head_cfg, drng)
-                hits += int((logits.data.argmax(axis=1) == labels).sum())
-                return nm.softmax_ce(logits, labels)
-
-            losses.append(opt.minimize(loss_fn))
-            total += len(labels)
-        metrics.append({"epoch": epoch, "loss": float(np.mean(losses)),
-                        "accuracy": hits / total})
+    for epoch, epoch_seqs in enumerate(epochs):
+        done = list(itertools.islice(steps, len(epoch_seqs)))
+        metrics.append({"epoch": epoch, "loss": float(np.mean([loss for loss, _ in done])),
+                        "accuracy": sum(hits for _, hits in done)
+                        / sum(len(batch) for batch in epoch_seqs)})
     return params, metrics
 
 

@@ -1,8 +1,11 @@
 """Shared fixtures: tiny models and corpora small enough for fast tests."""
 
+import os
+
 import numpy as np
 import pytest
 
+from fraudformer import parallel
 from fraudformer.data import (BehaviorSequence, GeneratorConfig, VocabSpec,
                               generate_corpus)
 from fraudformer.model import ModelConfig, init_params
@@ -20,6 +23,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+needs_two_workers = pytest.mark.skipif(
+    parallel._openblas_threads() is None or not hasattr(os, "fork"),
+    reason="two workers need os.fork and numpy's OpenBLAS thread setter")
+
+
+def assert_no_child():
+    """No child process of this one is left, not even a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

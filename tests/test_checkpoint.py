@@ -13,13 +13,15 @@ from fraudformer.checkpoint import (MAGIC, VERSION, CheckpointError, CrcError,
 from fraudformer.model import (causal_forward, encode_batch, init_params,
                                reconstruct_logits)
 from fraudformer.numerics.optim import Adam
-from fraudformer.sft import AnomalyHeadConfig
+from fraudformer.sft import AnomalyHeadConfig, init_head_params
 from tests.conftest import edit_checkpoint_config, tiny_model_config
 
 
 def make_ckpt(tmp_path, seed=0, **save_kw):
     cfg = tiny_model_config()
     params = init_params(cfg, np.random.default_rng(seed))
+    if save_kw.get("head"):  # an sft checkpoint holds the head its config implies
+        params.update(init_head_params(save_kw["head"], cfg.d_model, np.random.default_rng(seed)))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, cfg, **save_kw)
     return path, params, cfg

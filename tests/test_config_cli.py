@@ -12,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraudformer import cli
+from fraudformer import cli, parallel
 from fraudformer.cli import build_parser, keep_freed_heap, run_subcommand
 from fraudformer.config import ConfigError, DEFAULTS, load_run_config
 from fraudformer.contrastive import ContrastiveConfig
 from fraudformer.data import GeneratorConfig
 from fraudformer.model import ModelConfig, PretrainConfig
+from fraudformer.numerics import Tensor
 from fraudformer.sft import AnomalyHeadConfig, SftConfig
-from tests.conftest import edit_checkpoint_config
+from tests.conftest import assert_no_child, edit_checkpoint_config, needs_two_workers
 
 
 # --- config -----------------------------------------------------------------
@@ -534,7 +535,7 @@ def test_cli_embed_text_is_each_value_formatted_alone(scoring_run, tmp_path, cap
         return Tensor(made[-1])
 
     monkeypatch.setattr(contrastive, "embed_batch", rows)
-    monkeypatch.setattr(cli, "embed_workers", lambda: 1)  # `made` sees this process only
+    monkeypatch.setattr(parallel, "workers", lambda: 1)  # `made` sees this process only
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
@@ -578,7 +579,7 @@ def test_cli_embed_failed_write_leaves_no_file(scoring_run, tmp_path, capsys, mo
 def test_cli_embed_runs_one_forward_per_chunk(scoring_run, tmp_path, capsys, monkeypatch):
     from fraudformer.cli import EMBED_CHUNK
     calls = count_embed_batches(monkeypatch)
-    monkeypatch.setattr(cli, "embed_workers", lambda: 1)  # `calls` sees this process only
+    monkeypatch.setattr(parallel, "workers", lambda: 1)  # `calls` sees this process only
     out = tmp_path / "e.csv"
     assert run_subcommand(["embed", "--checkpoint", str(scoring_run["pre"]),
                            "--data", str(scoring_run["data"]), "--out", str(out)]) == 0
@@ -591,20 +592,9 @@ def test_cli_embed_runs_one_forward_per_chunk(scoring_run, tmp_path, capsys, mon
 
 # --- embed split between two processes ---------------------------------------
 
-needs_two_workers = pytest.mark.skipif(
-    cli._openblas_threads() is None or not hasattr(os, "fork"),
-    reason="two embed workers need os.fork and numpy's OpenBLAS thread setter")
-
-
-def assert_no_child():
-    """No child process of this one is left, not even a zombie."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def embed_with(monkeypatch, capsys, workers, ckpt, data, out):
     """``embed`` run on ``workers`` processes: (exit code, stderr)."""
-    monkeypatch.setattr(cli, "embed_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
     rc = run_subcommand(["embed", "--checkpoint", str(ckpt), "--data", str(data),
                          "--out", str(out)])
     err = capsys.readouterr().err
@@ -630,7 +620,7 @@ def blocks_corpus(scoring_run, path, n_users=37):
 def test_cli_embed_one_and_two_workers_write_the_same_bytes(scoring_run, tmp_path,
                                                              capsys, monkeypatch):
     data = blocks_corpus(scoring_run, tmp_path / "d.jsonl")
-    get_threads, set_threads = cli._openblas_threads()
+    get_threads, set_threads = parallel._openblas_threads()
     threads = get_threads()
     set_threads(3)
     try:
@@ -657,7 +647,7 @@ def test_cli_embed_reads_a_pipe_in_one_process(scoring_run, tmp_path, capsys, mo
     want = tmp_path / "e1.csv"
     assert embed_with(monkeypatch, capsys, 1, scoring_run["pre"], data, want) == (0, "")
     out = tmp_path / "e2.csv"
-    script = ("import sys; from fraudformer import cli; cli.embed_workers = lambda: 2; "
+    script = ("import sys; from fraudformer import cli, parallel; parallel.workers = lambda: 2; "
               "sys.exit(cli.run_subcommand())")
     env = {**os.environ, "PYTHONPATH": str(Path(fraudformer.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", script, "embed", "--checkpoint",
@@ -741,6 +731,47 @@ def test_cli_embed_worker_error_comes_back_as_its_text(scoring_run, tmp_path, ca
     rc, err = embed_with(monkeypatch, capsys, 2, scoring_run["pre"], scoring_run["data"], out)
     assert rc == 1 and "error: disk gone" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@needs_two_workers
+@pytest.mark.parametrize("n_users", [100, 600], ids=["one_block", "three_blocks"])
+def test_cli_gen_data_one_and_two_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                                               n_users):
+    """Blocks 0 and 2 of 600 users come from this process and block 1 from the
+    worker; the corpus is that of one process. 100 users are one block, which
+    is never forked."""
+    cfgp = write_cfg(tmp_path, {"seed": 4, "data": {"n_users": n_users, "fraud_fraction": 0.2}})
+    outs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        out = tmp_path / f"c{workers}.jsonl"
+        assert run_subcommand(["gen-data", "--config", cfgp, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {n_users} sequences to {out}\n"
+        assert_no_child()
+        outs.append((out.read_bytes(), (tmp_path / f"c{workers}.jsonl.vocab.json").read_bytes()))
+    assert outs[0] == outs[1]
+    assert len(outs[0][0].splitlines()) == n_users
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda params: params.pop("layer0.ln1.g"), "parameter 'layer0.ln1.g' is missing"),
+    (lambda params: params.update({"layer0.attn.wq": Tensor(np.zeros((32, 8), np.float32))}),
+     "parameter 'layer0.attn.wq' has shape [32, 8], the config implies [32, 32]"),
+], ids=["missing_parameter", "wrong_shape"])
+def test_cli_refuses_a_checkpoint_unlike_its_config(scoring_run, tmp_path, capsys,
+                                                    fault, message):
+    """A checkpoint whose parameters disagree with its own config fails at
+    load, naming the parameter, however valid its CRC."""
+    from fraudformer.checkpoint import load_checkpoint, save_checkpoint
+    loaded = load_checkpoint(scoring_run["sft"])
+    fault(loaded.params)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, loaded.params, loaded.model, head=loaded.head, kind=loaded.kind)
+    out = tmp_path / "out.csv"
+    assert run_subcommand(["score", "--checkpoint", str(bad), "--data",
+                           str(scoring_run["data"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,ckpt", [("score", "sft"), ("embed", "pre")])

@@ -84,6 +84,22 @@ def test_bucketize_monotone(a, b):
     assert bucketize_amount(lo, 16) != PAD_ID
 
 
+def test_block_amount_tokens_are_the_scalar_tokens_at_bucket_edges():
+    """The generator's vectorized buckets equal ``bucketize_amount`` of
+    ``math.exp(z) * f`` value by value: on random draws, and on amounts at
+    and one ulp either side of every bucket edge, where numpy's exp and log2
+    could round the other way."""
+    import math
+    rng = np.random.default_rng(0)
+    edges = np.log(2.0 ** np.arange(1, 18) - 1.0)
+    z = np.concatenate([rng.normal(4.0, 2.0, 5000), edges,
+                        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    f = np.concatenate([rng.choice([1.0, 10.0, 30.0, 1000.0], 5000), np.ones(3 * edges.size)])
+    for buckets in (3, 16):
+        want = [bucketize_amount(math.exp(a) * b, buckets) for a, b in zip(z.tolist(), f.tolist())]
+        assert data_mod._amount_tokens(z, f, buckets).tolist() == want
+
+
 # --- window sampling ---------------------------------------------------------
 
 def window_starts(seq, window):

@@ -527,17 +527,20 @@ def test_adam_determinism():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_adam_minimize_builds_a_fresh_tape_each_step():
+def test_train_steps_builds_a_fresh_tape_each_step():
+    from fraudformer.parallel import train_steps
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Adam({"w": w}, lr=0.1)
     # Both factors are w, so the gradient is 2w.
-    assert opt.minimize(lambda: verify.weighted_sum(w, w)) == 5.0
-    assert opt.t == 1
+    squares = lambda step, shard, leaves: (verify.weighted_sum(leaves["w"], leaves["w"]), 0)
+    assert train_steps(opt, 1, squares, shards=1) == [(5.0, 0)]
+    assert opt.t == 1 and w.grad is None
     # A first Adam step moves each entry by about lr against its gradient.
     np.testing.assert_allclose(w.data, [0.9, -1.9], atol=1e-6)
     before = w.data.copy()
     with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
-        opt.minimize(lambda: ops.scale(sum_of(w), np.inf))
+        train_steps(opt, 1, lambda step, shard, leaves: (ops.scale(sum_of(leaves["w"]), np.inf), 0),
+                    shards=1)
     np.testing.assert_array_equal(w.data, before)
     assert opt.t == 1
 
