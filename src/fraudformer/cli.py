@@ -44,7 +44,10 @@ EMBED_CHUNK = 16
 # freed block, so each batch of `score` or `finetune-cl` hands its ~12 MB of
 # temporaries back to the kernel and the next batch faults them in again, a
 # page at a time. 64 MiB is the smallest of 8, 16, 24, 32, 48 and 64 MiB that
-# removed those faults from both.
+# removed those faults from both. `score` halves its batches between two
+# threads, not processes: a forked parent would copy these retained pages as
+# it wrote them, about 4,400 faults per call. Its helper thread takes its
+# temporaries from a second glibc arena, and a second call still reuses them.
 M_TOP_PAD = -2
 HEAP_TOP_PAD = 64 << 20
 
@@ -348,8 +351,18 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
     workdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     say = (lambda *a: None) if quiet else print
+    stage_seconds: Dict[str, float] = {}
+    stage, start = "gen-data", t0
 
-    stage = "gen-data"
+    def end_stage(following: Optional[str] = None) -> float:
+        """Note the running stage's wall seconds and start ``following``;
+        return the time."""
+        nonlocal stage, start
+        now = time.monotonic()
+        stage_seconds[stage] = now - start
+        stage, start = following, now
+        return now
+
     try:
         gen_cfg = cfg.generator_config()
         corpus = generate_corpus(gen_cfg)
@@ -357,7 +370,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         train, heldout = corpus[:-N_EVAL_USERS], corpus[-N_EVAL_USERS:]
         say(f"[{stage}] {len(train)} train / {len(heldout)} held-out users")
 
-        stage = "pretrain"
+        end_stage("pretrain")
         model_cfg = cfg.model_config(gen_cfg.vocab)
         params, curve = pretrain_loop(train, model_cfg, cfg.pretrain_config())
         save_checkpoint(workdir / "pretrain.ckpt", params, model_cfg, kind="pretrain")
@@ -366,7 +379,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         final = float(np.mean([l for _, l in curve[-10:]]))
         say(f"[{stage}] loss {initial:.4f} -> {final:.4f}")
 
-        stage = "finetune-sft"
+        end_stage("finetune-sft")
         head_cfg = cfg.head_config()
         pool = list(_head_readable(train, model_cfg, head_cfg))
         pos = [s for s in pool if s.label > 0][:N_FEWSHOT_POSITIVES]
@@ -378,12 +391,12 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         say(f"[{stage}] {len(pos)} positives, {len(neg)} negatives, "
             f"final train accuracy {metrics[-1]['accuracy']:.3f}")
 
-        stage = "score"
+        end_stage("score")
         scored = list(_head_readable(heldout, model_cfg, head_cfg))
         scores = sft_mod.score_users(sft_params, model_cfg, head_cfg, scored)
         _write_scores(workdir / "scores.csv", scores)
 
-        stage = "eval"
+        end_stage("eval")
         labels = {s.user_id: int(s.label > 0) for s in scored}
         entries = [ev.RankEntry(uid, score, labels[uid]) for uid, score in scores]
         auc = ev.roc_auc(entries)
@@ -392,7 +405,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
     except Exception as exc:
         raise RuntimeError(f"smoke pipeline failed at stage {stage!r}: {exc}") from exc
 
-    elapsed = time.monotonic() - t0
+    elapsed = end_stage() - t0
     report = {
         "initial_loss": initial,
         "final_loss": final,
@@ -402,6 +415,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         "base_rate_pct": base_rate,
         "precision_lift": top1["precision"] / base_rate if base_rate else float("inf"),
         "elapsed_seconds": elapsed,
+        "stage_seconds": stage_seconds,
     }
     criteria = [
         ("reconstruction loss <= 80% of initial", report["loss_ratio"] <= 0.80,
@@ -412,6 +426,7 @@ def pipeline_smoke(cfg: RunConfig, workdir, quiet: bool = False) -> Tuple[dict, 
         (f"wall clock <= {SMOKE_BUDGET_SECONDS:.0f}s", elapsed <= SMOKE_BUDGET_SECONDS,
          f"{elapsed:.1f}s"),
     ]
+    say("stage seconds: " + ", ".join(f"{name} {t:.1f}" for name, t in stage_seconds.items()))
     ok = True
     for name, passed, detail in criteria:
         say(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")

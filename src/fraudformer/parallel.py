@@ -1,18 +1,21 @@
-"""Work split between this process and one forked worker.
+"""Work split between this process and one forked worker or helper thread.
 
-Two forms share the worker: ``interleave_parts`` hands it every other block
-of an input (``embed``, ``gen-data``), and ``train_steps`` runs each training
-step as two fixed half-batch shards, shard 1 in a worker that keeps its own
-copy of the parameters in lockstep (pretraining, SFT; contrastive tuning
-takes its steps whole, as one shard). The layout never depends on the worker
-count, so neither do the results: one process runs the same blocks and
-shards in turn.
+Three forms share the split: ``interleave_parts`` hands a forked worker
+every other block of an input (``embed``, ``gen-data``); ``train_steps``
+runs each training step as two fixed half-batch shards, shard 1 in a worker
+that keeps its own copy of the parameters in lockstep (pretraining, SFT;
+contrastive tuning takes its steps whole, as one shard); and ``map_halves``
+hands a helper thread the second half of each batch (``score``). The
+layout never depends on the worker count, so neither do the results: one
+process runs the same blocks, shards and halves in turn.
 
-While a worker lives both processes run numpy's OpenBLAS at one thread; the
-worker freezes the collector, writes no file and no stdout, and leaves by
-``os._exit``. Any exception in this process kills and reaps it, so no worker
-outlives its caller. Built on ``os.fork``, pipes and, for gradients, an
-anonymous shared ``mmap``; not on ``multiprocessing``.
+While a worker or the helper thread lives numpy's OpenBLAS runs at one
+thread, and its count comes back after. The worker freezes the collector,
+writes no file and no stdout, and leaves by ``os._exit``. Any exception in
+this process kills and reaps it, so no worker outlives its caller. Built on
+``os.fork``, pipes and, for gradients, an anonymous shared ``mmap``; not on
+``multiprocessing``. ``score`` takes a thread, not a fork: it shares the one
+heap, whose freed pages a forked parent would copy page by page.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import os
 import pickle
 import signal
 import warnings
-from typing import Callable, Dict, Iterator, List, NoReturn, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .numerics import Adam, GradTape, Tensor
 
-__all__ = ["workers", "interleave_parts", "shard_slice", "train_steps"]
+__all__ = ["workers", "interleave_parts", "shard_slice", "map_halves", "train_steps"]
 
 
 @functools.cache
@@ -61,6 +64,18 @@ def workers() -> int:
     if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(2, len(os.sched_getaffinity(0)))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS at one thread inside, and at its old count after."""
+    get_threads, set_threads = _openblas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _serve(items: Callable[[], Iterator], sink) -> NoReturn:
@@ -94,9 +109,6 @@ def _worker(items: Callable[..., Iterator], what: str):
     leaves nothing for the close to flush). An exception in the worker comes
     back as a ``RuntimeError`` with its text, and so does its death, as
     "... before its last ``what``"."""
-    get_threads, set_threads = _openblas_threads()
-    threads = get_threads()
-    set_threads(1)
     pid, reaped = None, False
 
     def received(pipe) -> Iterator:
@@ -116,32 +128,32 @@ def _worker(items: Callable[..., Iterator], what: str):
                 raise RuntimeError(value)
             yield value
 
-    try:
-        up_read, up_write = os.pipe()
-        down_read, down_write = os.pipe()
-        with open(up_read, "rb") as up, open(up_write, "wb") as sink, \
-                open(down_read, "rb") as inbox, open(down_write, "wb", buffering=0) as outbox:
-            with warnings.catch_warnings():
-                # Python 3.12 on warns that a fork in a process with threads may
-                # deadlock. The only other threads are OpenBLAS's, idle at one
-                # thread, and OpenBLAS's atfork handler stops them before a fork.
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                # Ends left open here would keep a write to a full pipe blocked
-                # for ever once the parent is gone, or a read waiting.
-                up.close()
-                outbox.close()
-                _serve(lambda: items(inbox), sink)
-            sink.close()
-            inbox.close()
-            yield received(up), outbox
-    finally:
-        if pid and not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        set_threads(threads)
+    with _one_blas_thread():
+        try:
+            up_read, up_write = os.pipe()
+            down_read, down_write = os.pipe()
+            with open(up_read, "rb") as up, open(up_write, "wb") as sink, \
+                    open(down_read, "rb") as inbox, open(down_write, "wb", buffering=0) as outbox:
+                with warnings.catch_warnings():
+                    # Python 3.12 on warns that a fork in a process with threads may
+                    # deadlock. The only other threads are OpenBLAS's, idle at one
+                    # thread, and OpenBLAS's atfork handler stops them before a fork.
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    # Ends left open here would keep a write to a full pipe blocked
+                    # for ever once the parent is gone, or a read waiting.
+                    up.close()
+                    outbox.close()
+                    _serve(lambda: items(inbox), sink)
+                sink.close()
+                inbox.close()
+                yield received(up), outbox
+        finally:
+            if pid and not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def interleave_parts(part: Callable[[int, int], Iterator], fork: bool) -> Iterator:
@@ -170,6 +182,36 @@ def shard_slice(n: int, shard: int) -> slice:
     rest. The same on every machine."""
     half = (n + 1) // 2
     return slice(0, half) if shard == 0 else slice(half, n)
+
+
+def map_halves(fn: Callable[[Sequence], list], batches: Iterable[Sequence]) -> Iterator[list]:
+    """``fn(batch)`` for each batch, taken in this thread, in order.
+
+    Where ``workers() == 2`` it is ``fn(shard 0) + fn(shard 1)``
+    (``shard_slice``): a helper thread, one for the whole iteration, runs
+    shard 1 while this thread runs shard 0, and this thread joins it before
+    it takes the next batch, so ``fn`` must give each item what it gives it
+    in any batch. A batch of one runs here whole. An exception in either
+    half ends the iteration once both halves are done, the first half's
+    where both raise; the thread is joined before the iterator ends or is
+    closed."""
+    if workers() != 2:
+        yield from map(fn, batches)
+        return
+    # Imported here: it loads `logging`, about 0.5 MB that only this path needs.
+    from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread(), ThreadPoolExecutor(1) as helper:
+        for batch in batches:
+            if len(batch) < 2:
+                yield fn(batch)
+                continue
+            rest = helper.submit(fn, batch[shard_slice(len(batch), 1)])
+            try:
+                first = fn(batch[shard_slice(len(batch), 0)])
+            except BaseException:
+                rest.exception()  # waits for the other half; this half's error is raised
+                raise
+            yield first + rest.result()
 
 
 # (step, shard, leaves) -> (the shard's weighted loss on its tape, its hits)

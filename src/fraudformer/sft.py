@@ -251,19 +251,23 @@ def score_users(params: Dict[str, nm.Tensor], model_cfg: ModelConfig,
                 batch_size: int = 64) -> List[Tuple[str, float]]:
     """Anomaly probability per user, sorted descending (ties by user_id).
 
-    ``users`` is read ``batch_size`` at a time, so a stream is never held
-    whole. Each user is scored on their most recent ``t_max`` events, padded
-    to ``t_max``, so a score depends only on the checkpoint and that user's
-    events, bit for bit: not on corpus order, batch size or batch neighbours.
+    ``users`` is read ``batch_size`` at a time, in this thread, so a stream
+    is never held whole. Each user is scored on their most recent ``t_max``
+    events, padded to ``t_max``, so a score depends only on the checkpoint
+    and that user's events, bit for bit: not on corpus order, batch size or
+    batch neighbours. That lets ``parallel.map_halves`` score the second
+    half of each batch in a helper thread where there are two CPUs.
     """
-    out = []
-    users = iter(users)
-    while chunk := list(itertools.islice(users, batch_size)):
+    def scored(chunk: List[BehaviorSequence]) -> List[Tuple[str, float]]:
         ids = [window_sample(s, model_cfg.t_max) for s in chunk]
         logits = batch_class_logits(ids, params, model_cfg, head_cfg)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)
         probs = e[:, 1] / e.sum(axis=1)
-        out.extend((s.user_id, float(p)) for s, p in zip(chunk, probs))
+        return [(s.user_id, float(p)) for s, p in zip(chunk, probs)]
+
+    users = iter(users)
+    chunks = iter(lambda: list(itertools.islice(users, batch_size)), [])
+    out = [pair for done in parallel.map_halves(scored, chunks) for pair in done]
     out.sort(key=lambda t: (-t[1], t[0]))
     return out

@@ -1,6 +1,8 @@
 """Shared fixtures: tiny models and corpora small enough for fast tests."""
 
+import contextlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,26 @@ def assert_no_child():
     """No child process of this one is left, not even a zombie."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def no_thread_left():
+    """No thread that the block started is left after it, and numpy's
+    OpenBLAS, set to 3 threads for the block, is back at 3 after it."""
+    count = threading.active_count()
+    blas = parallel._openblas_threads()
+    if blas is None:
+        yield
+    else:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(3)
+        try:
+            yield
+            assert get_threads() == 3
+        finally:
+            set_threads(threads)
+    assert threading.active_count() == count
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from fraudformer.data import GeneratorConfig
 from fraudformer.model import ModelConfig, PretrainConfig
 from fraudformer.numerics import Tensor
 from fraudformer.sft import AnomalyHeadConfig, SftConfig
-from tests.conftest import assert_no_child, edit_checkpoint_config, needs_two_workers
+from tests.conftest import (assert_no_child, edit_checkpoint_config, needs_two_workers,
+                            no_thread_left)
 
 
 # --- config -----------------------------------------------------------------
@@ -472,8 +474,11 @@ def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == [out]
 
 
-def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_path,
-                                                            capsys, monkeypatch):
+@pytest.mark.parametrize("workers,want", [(1, [64]), pytest.param(2, [32, 32],
+                                                                  marks=needs_two_workers)],
+                         ids=["one-worker", "two-workers"])
+def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_path, capsys,
+                                                            monkeypatch, workers, want):
     from fraudformer import sft
     real = sft.batch_class_logits
     forwards = []
@@ -483,6 +488,7 @@ def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_p
         return real(ids, *args, **kwargs)
 
     monkeypatch.setattr(sft, "batch_class_logits", counted)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
     records = scoring_run["records"]
     # 80 users, one full chunk of 64 and more, then a malformed line 81.
     users = records + [dict(r, user_id=r["user_id"] + "-copy") for r in records]
@@ -493,7 +499,67 @@ def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_p
     assert run_subcommand(["score", "--checkpoint", str(scoring_run["sft"]),
                            "--data", str(data), "--out", str(out)]) == 1
     assert "line 81" in capsys.readouterr().err
-    assert forwards == [64]
+    assert sorted(forwards) == want  # the first 64 users, in one forward or two halves
+    assert list(tmp_path.iterdir()) == [data]
+
+
+# --- score split between two threads ----------------------------------------
+
+def score_with(monkeypatch, capsys, workers, ckpt, data, out):
+    """``score`` run with ``workers``: (exit code, stderr). No thread is left
+    after it and OpenBLAS's thread count is back where it was."""
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    with no_thread_left():
+        rc = run_subcommand(["score", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--out", str(out)])
+    return rc, capsys.readouterr().err
+
+
+@needs_two_workers
+def test_cli_score_one_and_two_workers_write_the_same_bytes(scoring_run, tmp_path, capsys,
+                                                           monkeypatch):
+    records = scoring_run["records"]
+    short = dict(records[0], user_id="short", attrs=records[0]["attrs"][:5],
+                 label=0, anomaly_onset=None)
+    copies = [dict(r, user_id=r["user_id"] + "-copy") for r in records[:39]]
+    # 79 users the head can read: a chunk of 64 and an odd last chunk of 15.
+    data = write_records(tmp_path / "d.jsonl", records[:30] + [short] + records[30:] + copies)
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"s{workers}.csv"
+        rc, err = score_with(monkeypatch, capsys, workers, scoring_run["sft"], data, out)
+        assert rc == 0 and "skipped short: 5 events" in err
+        runs.append((out.read_bytes(), err))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count(b"\n") == 1 + 79
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_two_workers)],
+                         ids=["one-worker", "two-workers"])
+def test_cli_score_fails_on_an_error_in_the_second_half(scoring_run, tmp_path, capsys,
+                                                         monkeypatch, workers):
+    """An exception raised while scoring the second half of a chunk, in the
+    helper thread where there are two workers, ends ``score`` with exit 1
+    and its message, and no CSV."""
+    from fraudformer import sft
+    real = sft.batch_class_logits
+    raised_in = []
+
+    def fails_on_the_short_window(ids, *args, **kwargs):
+        if any(len(w) == 7 for w in ids):
+            raised_in.append(threading.current_thread() is threading.main_thread())
+            raise RuntimeError("the forward failed")
+        return real(ids, *args, **kwargs)
+
+    monkeypatch.setattr(sft, "batch_class_logits", fails_on_the_short_window)
+    records = scoring_run["records"]
+    odd = dict(records[0], user_id="odd", attrs=records[0]["attrs"][:7], label=0,
+               anomaly_onset=None)
+    data = write_records(tmp_path / "d.jsonl", records[:30] + [odd] + records[30:])
+    out = tmp_path / "s.csv"
+    rc, err = score_with(monkeypatch, capsys, workers, scoring_run["sft"], data, out)
+    assert rc == 1 and "error: the forward failed" in err
+    assert raised_in == [workers == 1]  # user 31 of 41, in shard 1: users 22-41
     assert list(tmp_path.iterdir()) == [data]
 
 
@@ -884,9 +950,15 @@ def test_smoke_skips_users_too_short_for_the_head(tmp_path, capsys):
         "pretrain": {"steps": 2, "batch_size": 8},
         "sft": {"epochs": 1, "batch_size": 8, "filters": 4, "hidden": 8},
     })
-    report, _ = pipeline_smoke(cfg, tmp_path, quiet=True)
-    skipped = [l for l in capsys.readouterr().err.splitlines() if l.startswith("skipped ")]
+    report, _ = pipeline_smoke(cfg, tmp_path)
+    captured = capsys.readouterr()
+    skipped = [l for l in captured.err.splitlines() if l.startswith("skipped ")]
     assert skipped and all("the anomaly head needs at least 6" in l for l in skipped)
     scored = (tmp_path / "scores.csv").read_text().splitlines()[1:]
     assert 0 < len(scored) < N_EVAL_USERS
     assert 0.0 <= report["auc"] <= 1.0
+    stages = report["stage_seconds"]
+    assert list(stages) == ["gen-data", "pretrain", "finetune-sft", "score", "eval"]
+    assert min(stages.values()) >= 0.0
+    assert sum(stages.values()) == pytest.approx(report["elapsed_seconds"])
+    assert "stage seconds: gen-data " in captured.out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraudformer import parallel
 from fraudformer.numerics import ops
 from fraudformer.numerics.gradcheck import grad_check
 from fraudformer.numerics.tensor import DimensionError, GradTape, Tensor
@@ -14,7 +15,7 @@ from fraudformer.sft import (AnomalyHeadConfig, SequenceTooShortError,
                              init_head_params, score_users)
 from fraudformer.verify import weighted_sum
 from fraudformer.model import causal_forward, encode_batch, init_params
-from tests.conftest import f64_params, tiny_model_config
+from tests.conftest import f64_params, needs_two_workers, no_thread_left, tiny_model_config
 
 
 def head64(cfg, d_model, seed=0):
@@ -306,12 +307,20 @@ def test_score_users_ignores_corpus_order(scoring_model, mixed_length_corpus):
     assert forward == backward  # bit for bit, every user
 
 
-def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus):
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_two_workers)],
+                         ids=["one-worker", "two-workers"])
+def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus, monkeypatch,
+                                        workers):
+    """Every batch size gives each user the bits of one forward over the
+    whole corpus, and so do halves of a batch scored in a helper thread."""
     params, mc, head_cfg = scoring_model
-    one = dict(score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=1))
-    many = dict(score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=64))
-    assert one.keys() == many.keys()
-    assert max(abs(one[u] - many[u]) for u in one) < 1e-6
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    want = score_users(params, mc, head_cfg, mixed_length_corpus)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    for batch_size in (1, 7, 64):
+        with no_thread_left():
+            got = score_users(params, mc, head_cfg, mixed_length_corpus, batch_size=batch_size)
+        assert got == want
 
 
 def test_eval_rows_ignore_batch_neighbours(scoring_model, mixed_length_corpus):
