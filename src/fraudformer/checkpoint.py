@@ -27,12 +27,13 @@ from .numerics import Tensor
 from .sft import AnomalyHeadConfig, head_param_table
 
 __all__ = [
-    "MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint",
+    "MAGIC", "VERSION", "KINDS", "Checkpoint", "save_checkpoint", "load_checkpoint",
     "atomic_open", "CheckpointError", "CrcError", "VersionError", "ShapeError",
 ]
 
 MAGIC = b"FFCK"
 VERSION = 1
+KINDS = ("pretrain", "sft", "contrastive")
 
 
 class CheckpointError(ValueError):
@@ -56,7 +57,7 @@ class Checkpoint:
     params: Dict[str, Tensor]
     model: ModelConfig
     head: Optional[AnomalyHeadConfig]
-    kind: str            # pretrain | sft | contrastive
+    kind: str            # one of KINDS
     meta: dict
 
 
@@ -168,8 +169,17 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: parameter {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+    for key in ("model", "head", "kind", "meta"):
+        if key not in config:
+            raise CheckpointError(f"{path}: the config has no {key!r} key")
+    kind, has_head = config["kind"], config["head"] is not None
+    if kind not in KINDS:
+        raise CheckpointError(f"{path}: 'kind' is {kind!r}, not one of {', '.join(KINDS)}")
+    if has_head != (kind == "sft"):
+        raise CheckpointError(f"{path}: 'head' is {'set' if has_head else 'null'} on a {kind!r} "
+                              "checkpoint; an sft checkpoint has one and no other kind does")
     model = _config(path, ModelConfig, config["model"])
-    head = _config(path, AnomalyHeadConfig, config["head"]) if config["head"] else None
+    head = _config(path, AnomalyHeadConfig, config["head"]) if has_head else None
     _check_params(path, params, model, head)
     return Checkpoint(params=params, model=model, head=head,
-                      kind=config["kind"], meta=config.get("meta", {}))
+                      kind=kind, meta=config["meta"])

@@ -138,11 +138,10 @@ def cmd_gen_data(args) -> int:
     """Generate the corpus, its blocks of ``GEN_BLOCK`` users split between
     ``parallel.workers()`` processes where there are two blocks or more."""
     gen_cfg = _load_cfg(args).generator_config()
-    fork = parallel.workers() == 2 and gen_cfg.n_users > GEN_BLOCK
     n_users = 0
-    with contextlib.closing(parallel.interleave_parts(functools.partial(_gen_part, gen_cfg),
-                                                      fork)) as blocks, \
-            atomic_open(args.out) as fh:
+    blocks = parallel.interleave_parts(functools.partial(_gen_part, gen_cfg),
+                                       gen_cfg.n_users > GEN_BLOCK)
+    with contextlib.closing(blocks), atomic_open(args.out) as fh:
         for count, text in blocks:
             fh.write(text)
             n_users += count
@@ -234,8 +233,6 @@ def cmd_finetune_cl(args) -> int:
 
 def cmd_score(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint, "sft")
-    if ckpt.head is None:
-        raise ValueError("scoring needs an sft checkpoint with a binary head")
     users = _unique_users(args.data, ckpt.model.cardinalities)
     scores = sft_mod.score_users(ckpt.params, ckpt.model, ckpt.head,
                                  _head_readable(users, ckpt.model, ckpt.head))
@@ -309,9 +306,8 @@ def cmd_embed(args) -> int:
     first_line: Dict[str, int] = {}
     n_users = 0
     part = functools.partial(_embed_part, args.data, ckpt)
-    fork = parallel.workers() == 2 and os.path.isfile(args.data)
-    with contextlib.closing(parallel.interleave_parts(part, fork)) as blocks, \
-            atomic_open(args.out) as fh:
+    blocks = parallel.interleave_parts(part, os.path.isfile(args.data))
+    with contextlib.closing(blocks), atomic_open(args.out) as fh:
         fh.write(f"user_id,{header}\n")
         for pairs, text, error in blocks:
             for lineno, uid in pairs:

@@ -3,19 +3,21 @@
 Three forms share the split: ``interleave_parts`` hands a forked worker
 every other block of an input (``embed``, ``gen-data``); ``train_steps``
 runs each training step as two fixed half-batch shards, shard 1 in a worker
-that keeps its own copy of the parameters in lockstep (pretraining, SFT;
-contrastive tuning takes its steps whole, as one shard); and ``map_halves``
-hands a helper thread the second half of each batch (``score``). The
-layout never depends on the worker count, so neither do the results: one
-process runs the same blocks, shards and halves in turn.
+that serves gradients on parameters shared with this process, which alone
+steps the optimizer (pretraining, SFT; contrastive tuning takes its steps
+whole, as one shard); and ``map_halves`` hands a helper thread the second
+half of each batch (``score``). The layout never depends on the worker
+count, so neither do the results: one process runs the same blocks, shards
+and halves in turn.
 
 While a worker or the helper thread lives numpy's OpenBLAS runs at one
 thread, and its count comes back after. The worker freezes the collector,
 writes no file and no stdout, and leaves by ``os._exit``. Any exception in
 this process kills and reaps it, so no worker outlives its caller. Built on
-``os.fork``, pipes and, for gradients, an anonymous shared ``mmap``; not on
-``multiprocessing``. ``score`` takes a thread, not a fork: it shares the one
-heap, whose freed pages a forked parent would copy page by page.
+``os.fork``, pipes and, for parameters and gradients, anonymous shared
+``mmap``s; not on ``multiprocessing``. ``score`` takes a thread, not a fork:
+it shares the one heap, whose freed pages a forked parent would copy page
+by page.
 """
 
 from __future__ import annotations
@@ -156,16 +158,16 @@ def _worker(items: Callable[..., Iterator], what: str):
                 os.waitpid(pid, 0)
 
 
-def interleave_parts(part: Callable[[int, int], Iterator], fork: bool) -> Iterator:
+def interleave_parts(part: Callable[[int, int], Iterator], splits: bool) -> Iterator:
     """The items of ``part(0, n)``, ``part(1, n)``, ... taken in turn, one
     each, until one part runs out. ``part(w, n)`` yields the items of blocks
     w, w + n, w + 2n, ... of an input, so they come in input order.
 
-    Without ``fork`` n is 1 and the one part runs in this process. With it
-    n is 2: part 1 runs in a forked worker that pickles its items through a
-    pipe, whose capacity bounds how far it runs ahead. Closing the iterator
-    kills and reaps the worker."""
-    if not fork:
+    Where the input ``splits`` and ``workers() == 2``, n is 2: part 1 runs in
+    a forked worker that pickles its items through a pipe, whose capacity
+    bounds how far it runs ahead. Closing the iterator kills and reaps the
+    worker. Otherwise n is 1 and the one part runs in this process."""
+    if not splits or workers() != 2:
         yield from part(0, 1)
         return
     with _worker(lambda inbox: part(1, 2), "block") as (received, _):
@@ -247,41 +249,15 @@ def _apply(opt: Adam, shards: List[Shard]) -> Tuple[float, int]:
     return loss, sum(hits for _, hits, _ in shards)
 
 
-class _Board:
-    """Memory that the two processes share, through which each passes its
-    shard's gradients: one slot per (step parity, shard), holding a gradient
-    per parameter, so that the pipe carries only a shard's loss, its hits and
-    the parameters it left without a gradient. A process writes its slot of
-    step s + 2 only after the other has posted step s + 1, and so has read
-    step s. Pickling the gradients through the pipe instead made a default
-    pretrain step about 10% slower."""
-
-    def __init__(self, params: Dict[str, Tensor]):
-        size = sum(p.data.nbytes for p in params.values())
-        mem = mmap.mmap(-1, 4 * size)  # anonymous, so shared with a fork
-        self.slots, pos = [], 0
-        for _ in range(4):
-            slot = {}
-            for name, p in params.items():
-                slot[name] = np.frombuffer(mem, p.data.dtype, p.data.size, pos).reshape(p.data.shape)
-                pos += p.data.nbytes
-            self.slots.append(slot)
-
-    def post(self, step: int, shard: int, done: Shard) -> Tuple[float, int, List[str]]:
-        """Copy a shard's gradients into its slot; return what the pipe carries:
-        its loss, its hits and the parameters that got no gradient."""
-        value, hits, grads = done
-        slot = self.slots[2 * (step % 2) + shard]
-        for name, g in grads.items():
-            if g is not None:
-                slot[name][...] = g
-        return value, hits, [name for name in slot if grads.get(name) is None]
-
-    def read(self, step: int, shard: int, note: Tuple[float, int, List[str]]) -> Shard:
-        """The shard that ``post`` made ``note`` for."""
-        value, hits, missing = note
-        slot = self.slots[2 * (step % 2) + shard]
-        return value, hits, {name: g for name, g in slot.items() if name not in missing}
+def _shared(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Zeroed arrays with the names, shapes and dtypes of ``arrays``, in one
+    anonymous ``mmap``, which a fork shares rather than copies."""
+    mem = mmap.mmap(-1, sum(a.nbytes for a in arrays.values()))
+    out, pos = {}, 0
+    for name, a in arrays.items():
+        out[name] = np.frombuffer(mem, a.dtype, a.size, pos).reshape(a.shape)
+        pos += a.nbytes
+    return out
 
 
 def train_steps(opt: Adam, n_steps: int, shard_loss: ShardLoss, shards: int = 2,
@@ -294,31 +270,41 @@ def train_steps(opt: Adam, n_steps: int, shard_loss: ShardLoss, shards: int = 2,
     gradients summed in shard order, g0 + g1, for Adam.
 
     With 2 shards and ``workers() == 2``, shard 1 runs in a worker forked
-    once here, in lockstep: per step each process hands the other its
-    shard's (loss, hits, gradients) through a ``_Board``, and both take the
-    same Adam step on their own copies of the parameters, which so stay the
-    same bits. Otherwise the shards run in turn here.
+    once here that only computes gradients, on parameters moved into memory
+    that both processes share. Per step this process sends the step number
+    and runs shard 0; the worker runs shard 1, fills a shared gradient slot
+    and sends back its loss, its hits and the parameters it left without a
+    gradient. This process alone then steps ``opt``, before it sends the
+    next step number. Otherwise the shards run in turn here.
     """
     if shards != 2 or workers() != 2:
         return [_apply(opt, [_shard(opt, shard_loss, step, k) for k in range(shards)])
                 for step in range(n_steps)]
-    board = _Board(opt.params)
+    arrays = {name: p.data for name, p in opt.params.items()}
+    shared, slot = _shared(arrays), _shared(arrays)
+    for name, p in opt.params.items():
+        shared[name][...] = p.data
+        p.data = shared[name]
 
     def worker_side(inbox) -> Iterator:
-        for step in range(n_steps):
-            mine = _shard(opt, shard_loss, step, 1)
-            yield board.post(step, 1, mine)
-            _apply(opt, [board.read(step, 0, pickle.load(inbox)), mine])
+        # A slot, not the pipe: pickled gradients made a pretrain step about 10% slower.
+        for _ in range(n_steps):
+            value, hits, grads = _shard(opt, shard_loss, pickle.load(inbox), 1)
+            for name, g in grads.items():
+                if g is not None:
+                    slot[name][...] = g
+            yield value, hits, [name for name, g in grads.items() if g is None]
 
     out = []
     with _worker(worker_side, "step") as (received, outbox):
         for step in range(n_steps):
-            mine = _shard(opt, shard_loss, step, 0)
             try:
-                outbox.write(pickle.dumps(board.post(step, 0, mine)))
+                outbox.write(pickle.dumps(step))
             except BrokenPipeError:  # the worker is gone: its record says how
-                for _ in received:
-                    pass
+                list(received)
                 raise
-            out.append(_apply(opt, [mine, board.read(step, 1, next(received))]))
+            mine = _shard(opt, shard_loss, step, 0)
+            value, hits, missing = next(received)
+            theirs = {name: g for name, g in slot.items() if name not in missing}
+            out.append(_apply(opt, [mine, (value, hits, theirs)]))
     return out

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, corruption detection, tying."""
 
 import errno
+import re
 import struct
 
 import numpy as np
@@ -92,6 +93,34 @@ def test_config_key_mismatch_names_the_key(tmp_path, section, edit, key):
     path, _, _ = make_ckpt(tmp_path, head=AnomalyHeadConfig(filters=4, hidden=8), kind="sft")
     edit_checkpoint_config(path, lambda config: edit(config[section]))
     with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["model", "head", "kind", "meta"])
+def test_missing_header_key_names_the_key(tmp_path, key):
+    path, _, _ = make_ckpt(tmp_path)
+    edit_checkpoint_config(path, lambda config: config.pop(key))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: the config has no '{key}' key")):
+        load_checkpoint(path)
+
+
+def test_unknown_kind_fails_the_load(tmp_path):
+    path, _, _ = make_ckpt(tmp_path)
+    edit_checkpoint_config(path, lambda config: config.update(kind="bogus"))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: 'kind' is 'bogus'")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("saved,kind", [("sft", "pretrain"), ("sft", "contrastive"),
+                                        ("pretrain", "sft")],
+                         ids=["pretrain-with-head", "contrastive-with-head", "sft-without-head"])
+def test_a_head_comes_with_the_sft_kind_only(tmp_path, saved, kind):
+    """An sft checkpoint has a head, and no other kind has one: ``score`` reads
+    the head of any checkpoint that loads as sft."""
+    head = AnomalyHeadConfig(filters=4, hidden=8) if saved == "sft" else None
+    path, _, _ = make_ckpt(tmp_path, head=head, kind=saved)
+    edit_checkpoint_config(path, lambda config: config.update(kind=kind))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: 'head' is ")):
         load_checkpoint(path)
 
 

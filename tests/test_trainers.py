@@ -3,6 +3,7 @@ contrastive tuning."""
 
 import dataclasses
 import os
+import pickle
 import time
 import tracemalloc
 
@@ -17,11 +18,12 @@ from fraudformer.contrastive import ContrastiveConfig, finetune_contrastive
 from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
 from fraudformer.model import (ModelConfig, PretrainConfig, batch_reconstruction_loss,
                                init_params, pretrain_loop, shard_reconstruction_loss)
-from fraudformer.numerics import GradTape, Tensor, softmax_ce
+from fraudformer.numerics import GradTape, Tensor, ops, softmax_ce
 from fraudformer.numerics.optim import Adam
 from fraudformer.rng import child_rng, shuffled_batches
 from fraudformer.sft import (AnomalyHeadConfig, SftConfig, batch_class_logits, finetune_sft,
                              init_head_params, shard_class_loss)
+from fraudformer.verify import weighted_sum
 from tests.conftest import assert_no_child, needs_two_workers
 
 
@@ -103,6 +105,59 @@ def test_one_and_two_workers_train_the_same_bits(trainer, small_planted_corpus, 
         np.testing.assert_array_equal(params1[name].data, params2[name].data, err_msg=name)
 
 
+@needs_two_workers
+@pytest.mark.parametrize("trainer", ["pretrain", "sft"])
+def test_only_this_process_steps_the_optimizer(trainer, small_planted_corpus, monkeypatch):
+    """The worker computes gradients and nothing else: every Adam step runs
+    here, on parameters that the worker reads."""
+    real_step, parent, steps = Adam.step, os.getpid(), []
+
+    def step_here_only(self):
+        if os.getpid() != parent:
+            raise RuntimeError("Adam.step ran in the worker")
+        steps.append(self.t)
+        real_step(self)
+
+    monkeypatch.setattr(Adam, "step", step_here_only)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    SHARDED[trainer](small_planted_corpus[:40])
+    assert steps and steps == list(range(len(steps)))
+    assert_no_child()
+
+
+@needs_two_workers
+def test_parameters_left_without_a_gradient_train_alike_at_one_and_two_workers(monkeypatch):
+    """"none" gets a gradient from neither shard, and "late" from shard 1
+    only, at steps 0 and 2: at 1 and 2 workers the parameters, Adam's
+    moments and step count, and each step's (loss, hits) are equal, and
+    "none" never moves. Step 1 must not reuse step 0's gradient of "late"."""
+    def shard_loss(step, shard, leaves):
+        loss = ops.scale(weighted_sum(leaves["both"], leaves["both"]), 1.0 + shard)
+        if shard == 1 and step != 1:
+            loss = ops.add(loss, weighted_sum(leaves["late"], leaves["late"]))
+        return ops.scale(loss, step + 1.0), shard + 1
+
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        rng = np.random.default_rng(0)
+        params = {name: Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+                  for name in ("both", "late", "none")}
+        none = params["none"].data.copy()
+        opt = Adam(params, lr=0.1)
+        runs.append((parallel.train_steps(opt, 3, shard_loss), opt))
+        assert_no_child()
+        np.testing.assert_array_equal(params["none"].data, none)
+    (log1, opt1), (log2, opt2) = runs
+    assert log1 == log2 and [hits for _, hits in log1] == [3, 3, 3]
+    assert opt1.t == opt2.t == 3
+    for name in opt1.params:
+        for a, b in ((opt1.params[name].data, opt2.params[name].data),
+                     (opt1.m[name], opt2.m[name]), (opt1.v[name], opt2.v[name])):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    assert not opt2.m["none"].any() and opt2.m["late"].all()
+
+
 def gradients(params, loss_fn):
     """loss_fn(leaves), a (loss, hits) pair, and each parameter's gradient,
     on fresh leaves that wrap ``params``' arrays."""
@@ -151,29 +206,43 @@ def test_weighted_shards_sum_to_the_full_batch(n, small_planted_corpus):
 
 @needs_two_workers
 @pytest.mark.parametrize("worker_first", [True, False],
-                         ids=["before_this_process_posts", "after_this_process_posts"])
+                         ids=["before_this_process_sends_the_step",
+                              "after_this_process_sends_the_step"])
 def test_a_worker_that_dies_mid_training_fails_clearly(small_planted_corpus, monkeypatch,
                                                        worker_first):
-    """The worker dies at its second step, before or after this process has
-    sent it its shard of that step: a broken pipe or a cut record, the same
-    failure either way."""
-    real, parent, calls = model_mod.batch_reconstruction_loss, os.getpid(), []
+    """The worker dies as it waits for its second step, before or after this
+    process has sent that step's number: a broken pipe or a cut record, the
+    same failure either way."""
+    real_load, real_loss, parent = pickle.load, model_mod.batch_reconstruction_loss, os.getpid()
+    reads, slowed = [], []
 
-    def dies_at_the_workers_second_step(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            if os.getpid() != parent:
+    def dies_waiting_for_its_second_step(file):
+        if os.getpid() != parent:
+            reads.append(1)
+            if len(reads) == 2:
                 time.sleep(0 if worker_first else 0.3)
                 os._exit(3)
-            time.sleep(0.3 if worker_first else 0)
-        return real(*args, **kwargs)
+        return real_load(file)
 
-    monkeypatch.setattr(model_mod, "batch_reconstruction_loss", dies_at_the_workers_second_step)
+    def slow_first_shard(*args, **kwargs):
+        if os.getpid() == parent and not slowed:
+            slowed.append(1)
+            time.sleep(0.3 if worker_first else 0)
+        return real_loss(*args, **kwargs)
+
+    monkeypatch.setattr(pickle, "load", dies_waiting_for_its_second_step)
+    monkeypatch.setattr(model_mod, "batch_reconstruction_loss", slow_first_shard)
     monkeypatch.setattr(parallel, "workers", lambda: 2)
     with pytest.raises(RuntimeError, match="the worker process exited with status 3 "
-                                           "before its last step"):
+                                           "before its last step") as failed:
         SHARDED["pretrain"](small_planted_corpus[:40])
     assert_no_child()
+    # Which of the two it was shows in the error's chain of contexts.
+    causes, exc = [], failed.value
+    while exc is not None:
+        causes.append(type(exc))
+        exc = exc.__context__
+    assert (BrokenPipeError in causes) == worker_first, causes
 
 
 def test_contrastive_step_peak_stays_near_its_forward(monkeypatch):
