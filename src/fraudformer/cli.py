@@ -27,8 +27,8 @@ from . import sft as sft_mod
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import (GEN_BLOCK, BehaviorSequence, generate_corpus, iter_numbered_jsonl,
-                   numbered_lines, parse_jsonl_line, read_jsonl, read_vocab, window_sample,
-                   write_jsonl, write_vocab)
+                   numbered_lines, parse_jsonl_label, parse_jsonl_line, read_jsonl, read_vocab,
+                   window_sample, write_jsonl, write_vocab)
 from .model import ModelConfig, pretrain_loop
 from .verify import TOLERANCE, gradient_suite
 
@@ -104,8 +104,7 @@ def _first_sight(first_line: Dict[str, int], path, lineno: int, user_id: str) ->
     first_line[user_id] = lineno
 
 
-def _unique_users(path, cardinalities: Optional[Sequence[int]] = None,
-                  ) -> Iterator[BehaviorSequence]:
+def _unique_users(path, cardinalities: Sequence[int]) -> Iterator[BehaviorSequence]:
     """``path``'s users, streamed, each user_id seen once."""
     first_line: Dict[str, int] = {}
     for lineno, seq in iter_numbered_jsonl(path, cardinalities):
@@ -243,9 +242,13 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     scores = _read_scores(args.scores)
-    # Streamed: each user's id array is dropped once its label is read.
-    entries = [ev.RankEntry(s.user_id, scores[s.user_id], int(s.label > 0))
-               for s in _unique_users(args.data) if s.user_id in scores]
+    first_line: Dict[str, int] = {}
+    entries = []
+    for lineno, line in numbered_lines(args.data):
+        uid, label = parse_jsonl_label(line, lineno)
+        _first_sight(first_line, args.data, lineno, uid)
+        if uid in scores:
+            entries.append(ev.RankEntry(uid, scores[uid], int(label > 0)))
     found = {e.user_id for e in entries}
     missing = [uid for uid in scores if uid not in found]
     if missing:

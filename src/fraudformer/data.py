@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -50,8 +51,8 @@ __all__ = [
     "PAD_ID", "FRAUD_CLASS_NAMES", "VocabSpec", "BehaviorSequence",
     "GeneratorConfig", "default_vocab",
     "bucketize_amount", "window_sample", "generate_corpus", "ids_array",
-    "numbered_lines", "parse_jsonl_line", "iter_numbered_jsonl", "read_jsonl",
-    "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
+    "numbered_lines", "parse_jsonl_line", "parse_jsonl_label", "iter_numbered_jsonl",
+    "read_jsonl", "write_jsonl", "read_vocab", "write_vocab", "SchemaError",
 ]
 
 PAD_ID = 0
@@ -436,18 +437,77 @@ def numbered_lines(path) -> Iterator[Tuple[int, str]]:
                 yield lineno, line
 
 
-def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
-                     ) -> BehaviorSequence:
-    """The user of one stripped corpus line; a malformed line fails naming
-    ``lineno``.
+# write_jsonl's line starts with these, the user_id between them, so that
+# its attrs is the record's own. The user_id holds no '"' or '\\' there.
+_COMPACT_HEAD, _COMPACT_ATTRS = '{"user_id":"', '","attrs":[['
+_NOT_IDS = str.maketrans("", "", "0123456789,")  # leaves a row mark's "-"
+_LEADING_ZERO = re.compile(r"(?:^|,)0[0-9]")
+_INT64_MAX = np.iinfo(np.int64).max
 
-    The line is a JSON object. ``user_id`` must be a nonempty JSON string
-    with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
-    ``label`` must be a JSON integer >= 0, ``anomaly_onset`` a JSON integer
-    or null, and ``attrs`` rows of JSON integer token ids of equal length.
-    With ``cards``, the vocab's V_d as a uint64 array, every event must have
-    one token per dimension, each in [0, V_d).
-    """
+
+def _compact_split(line: str) -> Optional[Tuple[dict, int, str]]:
+    """A line in ``write_jsonl``'s compact form, split without decoding
+    ``attrs`` through json: the record without ``attrs``, the number of
+    ``attrs``' rows, and its token ids joined by "," with a -1 between
+    rows; None, never raising, for a line whose form it cannot prove: one
+    with spaces, an escaped user_id, ``attrs`` not second, a value that is
+    not a JSON integer >= 0, a second ``attrs`` or a missing field."""
+    if not line.startswith(_COMPACT_HEAD):
+        return None
+    end = line.find('"', len(_COMPACT_HEAD))
+    if end < 0 or not line.startswith(_COMPACT_ATTRS, end) or "\\" in line[:end]:
+        return None
+    lo = end + len(_COMPACT_ATTRS)
+    hi = line.find("]]", lo)
+    if hi < 0:
+        return None
+    span = line[lo:hi]
+    marks = span.count("],[")
+    flat = span.replace("],[", ",-1,")
+    # Digits, commas and the row marks only, no empty value and no leading
+    # zero: then "[[" + span + "]]" is a JSON array of rows of integers >= 0.
+    if (flat.translate(_NOT_IDS) != "-" * marks or not flat or flat[0] == ","
+            or flat[-1] == "," or ",," in flat
+            or (flat[0] == "0" or ",0" in flat) and _LEADING_ZERO.search(flat)):
+        return None
+    try:
+        rec = json.loads(line[:end + 1] + line[hi + 2:])
+    except (ValueError, RecursionError):
+        return None
+    if (not isinstance(rec, dict) or "attrs" in rec
+            or not rec.keys() >= {"user_id", "label", "anomaly_onset"}):
+        return None
+    return rec, marks + 1, flat
+
+
+def _compact_record(line: str, cards: Optional[np.ndarray]) -> Optional[Tuple[dict, np.ndarray]]:
+    """The record without ``attrs`` and the [T, D] token ids of a line that
+    ``_compact_split`` splits, whose rows are of equal length, and, with
+    ``cards``, whose ids are in range; None, never raising, otherwise."""
+    split = _compact_split(line)
+    if split is None:
+        return None
+    rec, rows, flat = split
+    # A row mark reads as -1, the only negative value, so rows of D ids
+    # each put a mark after every D ids.
+    ids = np.fromstring(flat, dtype=np.int64, sep=",")
+    width = (ids.size + 1) // rows
+    if width * rows != ids.size + 1 or (ids[width - 1::width] != -1).any():
+        return None
+    marked = np.empty((rows, width), dtype=np.int64)
+    marked.reshape(-1)[:-1] = ids
+    ids = marked[:, :-1].copy()
+    # fromstring reads a value beyond int64 as its largest value, which is
+    # out of any vocab's range.
+    if cards is None:
+        return None if ids.max() == _INT64_MAX else (rec, ids)
+    if ids.shape[1] != cards.size or (ids.view(np.uint64) >= cards).any():
+        return None
+    return rec, ids
+
+
+def _json_record(line: str, lineno: int) -> dict:
+    """The line decoded as a JSON object holding the four fields."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -457,11 +517,11 @@ def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
     for key in ("user_id", "attrs", "label", "anomaly_onset"):
         if key not in rec:
             raise SchemaError(f"line {lineno}: missing field {key!r}")
-    user_id = rec["user_id"]
-    if type(user_id) is not str or not user_id or any(c in user_id for c in ',"\r\n'):
-        raise SchemaError(f"line {lineno}: field 'user_id' must be a nonempty string "
-                          f"without ',', '\"', CR or LF, got {user_id!r}")
-    attrs = rec["attrs"]
+    return rec
+
+
+def _json_ids(attrs, line: str, lineno: int, cards: Optional[np.ndarray]) -> np.ndarray:
+    """The [T, D] token ids of a decoded ``attrs``."""
     if not isinstance(attrs, list) or not attrs:
         raise SchemaError(f"line {lineno}: field 'attrs' must be a nonempty list")
     try:
@@ -494,10 +554,46 @@ def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
             t, d = np.argwhere(bad)[0]
             raise SchemaError(f"line {lineno}: field 'attrs'[{t}][{d}]={ids[t, d]} "
                               f"outside [0, {cards[d]})")
-    label, onset = rec["label"], rec["anomaly_onset"]
+    return ids
+
+
+def _user_id(rec: dict, lineno: int) -> str:
+    user_id = rec["user_id"]
+    if type(user_id) is not str or not user_id or any(c in user_id for c in ',"\r\n'):
+        raise SchemaError(f"line {lineno}: field 'user_id' must be a nonempty string "
+                          f"without ',', '\"', CR or LF, got {user_id!r}")
+    return user_id
+
+
+def _label(rec: dict, lineno: int) -> int:
+    label = rec["label"]
     if type(label) is not int or label < 0:  # a bool is an int subclass
         raise SchemaError(f"line {lineno}: field 'label' must be an integer >= 0, "
                           f"got {label!r}")
+    return label
+
+
+def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
+                     ) -> BehaviorSequence:
+    """The user of one stripped corpus line; a malformed line fails naming
+    ``lineno``.
+
+    The line is a JSON object. ``user_id`` must be a nonempty JSON string
+    with no ``,``, ``"``, CR or LF, so that it is one field of a score CSV;
+    ``label`` must be a JSON integer >= 0, ``anomaly_onset`` a JSON integer
+    or null, and ``attrs`` rows of JSON integer token ids of equal length.
+    With ``cards``, the vocab's V_d as a uint64 array, every event must have
+    one token per dimension, each in [0, V_d).
+
+    A line in ``write_jsonl``'s compact form is read without decoding
+    ``attrs`` through json; any other line, and any fault, takes the json
+    path, so that both read a line alike and fail with the same text.
+    """
+    compact = _compact_record(line, cards)
+    rec = _json_record(line, lineno) if compact is None else compact[0]
+    user_id = _user_id(rec, lineno)
+    ids = _json_ids(rec["attrs"], line, lineno, cards) if compact is None else compact[1]
+    label, onset = _label(rec, lineno), rec["anomaly_onset"]
     if type(onset) not in (int, type(None)):
         raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
                           f"or null, got {onset!r}")
@@ -505,6 +601,15 @@ def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
         return BehaviorSequence(user_id, ids, label, onset)
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def parse_jsonl_label(line: str, lineno: int) -> Tuple[str, int]:
+    """(user_id, label) of one stripped corpus line, checked as
+    ``parse_jsonl_line`` checks them; the line must be a JSON object with
+    the four fields, but nothing inside ``attrs`` is read or checked."""
+    split = _compact_split(line)
+    rec = _json_record(line, lineno) if split is None else split[0]
+    return _user_id(rec, lineno), _label(rec, lineno)
 
 
 def iter_numbered_jsonl(path, cardinalities: Optional[Sequence[int]] = None,

@@ -463,6 +463,54 @@ def test_cli_eval_rejects_scored_users_missing_from_the_data(scoring_run, tmp_pa
     assert "ROC-AUC" not in captured.out
 
 
+def write_compact(path, records):
+    """``records`` as lines in the compact form that gen-data writes."""
+    path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("write", [write_records, write_compact], ids=["spaced", "compact"])
+def test_cli_eval_reads_ids_outside_any_vocab(scoring_run, tmp_path, capsys, write):
+    records = [dict(r) for r in scoring_run["records"]]
+    records[1]["attrs"] = [[999] * len(row) for row in records[1]["attrs"]]
+    records[2]["attrs"] = [[-4, 2 ** 70]]
+    scores = tmp_path / "s.csv"
+    scores.write_text("user_id,score\n" + "".join(f"{r['user_id']},0.5\n" for r in records))
+    data = write(tmp_path / "d.jsonl", records)
+    assert run_subcommand(["eval", "--scores", str(scores), "--data", str(data)]) == 0
+    assert "ROC-AUC" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("write", [write_records, write_compact], ids=["spaced", "compact"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: "{not json", "line 3: invalid JSON"),
+    (lambda r: [r], "line 3: a record must be a JSON object"),
+    (lambda r: {k: v for k, v in r.items() if k != "label"}, "line 3: missing field 'label'"),
+    (lambda r: {k: v for k, v in r.items() if k != "attrs"}, "line 3: missing field 'attrs'"),
+    (lambda r: dict(r, label=-1, anomaly_onset=None), "line 3: field 'label'"),
+    (lambda r: dict(r, label=True), "line 3: field 'label'"),
+    (lambda r: dict(r, user_id="a,b"), "line 3: field 'user_id'"),
+    (lambda r: dict(r, user_id=None), "line 3: field 'user_id'"),
+], ids=["invalid_json", "not_object", "no_label", "no_attrs", "negative_label", "bool_label",
+        "comma_user_id", "null_user_id"])
+def test_cli_eval_names_the_line_of_a_bad_record(scoring_run, tmp_path, capsys, write,
+                                                 edit, message):
+    records = [dict(r) for r in scoring_run["records"]]
+    scores = tmp_path / "s.csv"
+    scores.write_text("user_id,score\n" + "".join(f"{r['user_id']},0.5\n" for r in records))
+    bad = edit(records[2])
+    data = write(tmp_path / "d.jsonl", records[:2] + [{} if isinstance(bad, str) else bad]
+                 + records[3:])
+    if isinstance(bad, str):
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+    out = tmp_path / "report.csv"
+    assert run_subcommand(["eval", "--scores", str(scores), "--data", str(data),
+                           "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_score_failed_write_leaves_old_file(scoring_run, tmp_path, capsys, monkeypatch):
     from fraudformer import sft
     monkeypatch.setattr(sft, "score_users", lambda *a, **k: [("u1", 0.5), ("u2", "not a score")])

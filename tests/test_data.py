@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,8 +16,9 @@ from fraudformer import data as data_mod
 from fraudformer.data import (PAD_ID, BehaviorSequence, GeneratorConfig,
                               SchemaError, VocabSpec, bucketize_amount,
                               default_vocab, generate_corpus, ids_array,
-                              iter_numbered_jsonl, read_jsonl, read_vocab,
-                              window_sample, write_jsonl, write_vocab)
+                              iter_numbered_jsonl, parse_jsonl_label, parse_jsonl_line,
+                              read_jsonl, read_vocab, window_sample, write_jsonl,
+                              write_vocab)
 from tests.conftest import TINY_VOCAB, assert_same_corpus, make_sequence
 
 
@@ -376,6 +379,138 @@ def test_jsonl_event_without_tokens_is_refused(tmp_path, attrs, with_vocab):
     cards = TINY_VOCAB.cardinalities if with_vocab else None
     with pytest.raises(SchemaError, match="line 2: field 'attrs' has an event with no tokens"):
         read_jsonl(p, cards)
+
+
+# Token-id texts that a line may spell in place of a plain id: each is
+# refused, or read, alike by the compact and the json path.
+ODD_TOKENS = ["0", "00", "07", "-3", "-0", "12345678901234567890", "9223372036854775807",
+              "9223372036854775808", "1.5", "2e0", "true", "false", "null", '"3"', "[1]"]
+ODD_USER_IDS = ['a"b', "a\\b", "a{b}", "a}b", "a\x01b", "a\tb", "a,b", "é", "", "u 1"]
+
+
+@st.composite
+def corpus_lines(draw):
+    """A corpus line as ``write_jsonl`` writes it or as ``json.dumps`` spaces
+    it, often with one fault or oddity of form."""
+    D, T = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[str(draw(st.integers(0, 12))) for _ in range(D)] for _ in range(T)]
+    user_id = json.dumps(draw(st.from_regex(r"[a-z0-9_.:{}-]{1,8}", fullmatch=True)))
+    label = draw(st.integers(0, 3))
+    onset = draw(st.none() | st.integers(-1, T)) if label else None
+    fields = [["user_id", user_id], ["attrs", None], ["label", json.dumps(label)],
+              ["anomaly_onset", json.dumps(onset)]]
+    edit = draw(st.sampled_from([
+        None, None, None, "token", "ragged", "empty_row", "no_rows", "nested", "nested_only",
+        "twice", "attrs_first", "missing", "shifted", "user_id", "raw_user_id", "label", "onset",
+        "user_id_twice", "trailing", "extra_bracket"]))
+    if edit == "token":
+        rows[draw(st.integers(0, T - 1))][draw(st.integers(0, D - 1))] = draw(
+            st.sampled_from(ODD_TOKENS))
+    elif edit == "ragged":
+        rows[draw(st.integers(0, T - 1))].append("1")
+    elif edit == "shifted" and T > 1:  # as many ids as rows of D hold
+        rows[0].append(rows[1].pop())
+    elif edit == "empty_row":
+        rows[draw(st.integers(0, T - 1))] = []
+    elif edit == "no_rows":
+        rows = []
+    sep, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    attrs = "[" + sep.join("[" + sep.join(r) + "]" for r in rows) + "]"
+    fields[1][1] = attrs
+    if edit in ("nested", "nested_only"):
+        fields.append(["extra", "{" + json.dumps("attrs") + colon + attrs + "}"])
+        if edit == "nested_only":
+            del fields[1]
+    elif edit == "twice":
+        fields.append(["attrs", "[[1" + sep + "2]]"])
+    elif edit == "attrs_first":
+        fields.insert(0, fields.pop(1))
+    elif edit == "missing":
+        del fields[draw(st.sampled_from([0, 2, 3]))]
+    elif edit == "user_id":
+        fields[0][1] = json.dumps(draw(st.sampled_from(ODD_USER_IDS)))
+    elif edit == "raw_user_id":  # unescaped, so the line may not be JSON
+        fields[0][1] = '"' + draw(st.sampled_from(ODD_USER_IDS)) + '"'
+    elif edit == "label":
+        fields[2][1] = draw(st.sampled_from(["-1", "true", "1.5", '"2"', "null"]))
+    elif edit == "onset":
+        fields[3][1] = draw(st.sampled_from(["1.5", '"1"', "true"]))
+    elif edit == "user_id_twice":
+        fields.append(["user_id", json.dumps("v" + draw(st.sampled_from(["1", ",", ""])))])
+    line = "{" + sep.join(json.dumps(k) + colon + v for k, v in fields) + "}"
+    if edit == "trailing":
+        line += draw(st.sampled_from(["x", "}", "]"]))
+    elif edit == "extra_bracket":
+        line = line.replace("]]", "]]]", 1)
+    return line
+
+
+def outcome(parse, *args):
+    """What a parser gives: its fields, ids dtype and ids, or its error."""
+    try:
+        got = parse(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc).__name__, str(exc)
+    if isinstance(got, BehaviorSequence):
+        return got.user_id, got.label, got.anomaly_onset, got.ids.dtype, got.ids.tolist()
+    return got
+
+
+def compact_line(attrs="[[1,2]]", user_id="u", rest=',"label":0,"anomaly_onset":null'):
+    return f'{{"user_id":"{user_id}","attrs":{attrs}{rest}}}'
+
+
+@given(corpus_lines(), st.none() | st.lists(st.integers(1, 14), min_size=1, max_size=5))
+@settings(max_examples=600, deadline=None)
+@example(compact_line(rest=',"anomaly_onset":null'), None)
+@example(compact_line(rest=',"label":0'), None)
+@example(compact_line("[[9223372036854775808,1]]"), None)
+@example(compact_line("[[12345678901234567890,1]]"), None)
+@example(compact_line("[[1,2,3],[4]]"), None)
+@example(compact_line("[[1],[2],[3,4,5]]"), None)
+@example(compact_line("[[1,2]]", "a\\", ',b","label":0,"anomaly_onset":null'), None)
+@example(compact_line("[[1,2]]", "a\\\\"), None)
+def test_compact_lines_parse_as_json_does(line, cards):
+    cards = None if cards is None else np.array(cards, dtype=np.uint64)
+    fast = outcome(parse_jsonl_line, line, 7, cards)
+    labels = outcome(parse_jsonl_label, line, 7)
+    with mock.patch.object(data_mod, "_compact_split", lambda line: None):
+        assert fast == outcome(parse_jsonl_line, line, 7, cards)
+        assert labels == outcome(parse_jsonl_label, line, 7)
+    if len(fast) == 5:  # a user: the labels reader reads its id and label
+        assert labels == fast[:2]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_every_line_write_jsonl_writes_takes_the_compact_path(seed):
+    rng = np.random.default_rng(seed)
+    cards = np.array([int(rng.integers(2, 200)) for _ in range(rng.integers(1, 10))])
+    vocab = VocabSpec(tuple((f"d{d}", int(c)) for d, c in enumerate(cards)))
+    corpus = []
+    for i in range(rng.integers(1, 6)):
+        label = int(rng.integers(0, 9))
+        t_len = int(rng.integers(1, 70))
+        onset = int(rng.integers(0, t_len)) if label else None
+        seq = make_sequence(rng, vocab, t_len, f"user-{i}:{{{seed}}}", label, onset)
+        seq.ids.flags.writeable = True
+        seq.ids[rng.random(seq.ids.shape) < 0.1] = 0  # PAD spells "0", a valid id
+        corpus.append(seq)
+    text = io.StringIO()
+    write_jsonl(text, corpus)
+    for seq, line in zip(corpus, text.getvalue().splitlines()):
+        rec, ids = data_mod._compact_record(line, cards.astype(np.uint64))
+        assert rec == {"user_id": seq.user_id, "label": seq.label,
+                       "anomaly_onset": seq.anomaly_onset}
+        assert ids.dtype == np.int64 and ids.flags.c_contiguous
+        np.testing.assert_array_equal(ids, seq.ids)
+
+
+def test_a_deprecation_raised_in_the_data_module_fails_the_tests():
+    # The compact path reads ids with np.fromstring's text mode; should numpy
+    # deprecate it, pyproject.toml's filterwarnings makes the tests fail.
+    with pytest.raises(DeprecationWarning):
+        exec("warnings.warn('text mode', DeprecationWarning)", dict(vars(data_mod), warnings=warnings))
 
 
 def test_vocab_sidecar_round_trip(tmp_path):
