@@ -136,9 +136,12 @@ def head_features(h: nm.Tensor, lengths: np.ndarray, cfg: AnomalyHeadConfig,
 
 def _mlp(features: nm.Tensor, cfg: AnomalyHeadConfig, params: Dict[str, nm.Tensor],
          rng: Optional[np.random.Generator]) -> nm.Tensor:
-    x = nm.dropout(features, cfg.dropout, rng)
+    """[B, 2] logits of [B, F] features. Both products take ``matmul``'s
+    stacked-row form, [B, 1, k], so that a row's bits do not depend on B."""
+    n = features.data.shape[0]
+    x = nm.reshape(nm.dropout(features, cfg.dropout, rng), (n, 1, -1))
     x = nm.relu(nm.matmul(x, params["head.mlp.w1"], params["head.mlp.b1"]))
-    return nm.matmul(x, params["head.mlp.w2"], params["head.mlp.b2"])
+    return nm.reshape(nm.matmul(x, params["head.mlp.w2"], params["head.mlp.b2"]), (n, 2))
 
 
 def batch_class_logits(id_arrays: Sequence[np.ndarray], params: Dict[str, nm.Tensor],

@@ -323,6 +323,29 @@ def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus, monk
         assert got == want
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_two_workers)],
+                         ids=["one-worker", "two-workers"])
+def test_score_users_ignores_batch_size_at_the_default_model(monkeypatch, workers):
+    """At the default model and head, where a row's GEMM kernel can change
+    with the number of rows, every batch size and both halves of a batch
+    give each user the same bits."""
+    from fraudformer.config import load_run_config
+    from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
+    cfg = load_run_config()
+    mc, head_cfg = cfg.model_config(default_vocab()), cfg.head_config()
+    assert head_cfg == AnomalyHeadConfig()
+    params = init_params(mc, np.random.default_rng(5))
+    params.update(init_head_params(head_cfg, mc.d_model, np.random.default_rng(6)))
+    users = generate_corpus(GeneratorConfig(n_users=70, fraud_fraction=0.2, seed=6))
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    want = score_users(params, mc, head_cfg, users)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    for batch_size in (1, 7, 30, 64):
+        with no_thread_left():
+            got = score_users(params, mc, head_cfg, users, batch_size=batch_size)
+        assert got == want
+
+
 def test_eval_rows_ignore_batch_neighbours(scoring_model, mixed_length_corpus):
     """A short user's score and embedding are the same bits alone, in a
     shuffled batch of short users, and next to users of t_max events."""
