@@ -485,21 +485,18 @@ def test_compact_lines_parse_as_json_does(line, cards):
 @settings(max_examples=25, deadline=None)
 def test_every_line_write_jsonl_writes_takes_the_compact_path(seed):
     rng = np.random.default_rng(seed)
-    cards = np.array([int(rng.integers(2, 200)) for _ in range(rng.integers(1, 10))])
-    vocab = VocabSpec(tuple((f"d{d}", int(c)) for d, c in enumerate(cards)))
+    cards = rng.integers(2, 200, size=rng.integers(1, 10)).astype(np.uint64)
     corpus = []
     for i in range(rng.integers(1, 6)):
         label = int(rng.integers(0, 9))
         t_len = int(rng.integers(1, 70))
         onset = int(rng.integers(0, t_len)) if label else None
-        seq = make_sequence(rng, vocab, t_len, f"user-{i}:{{{seed}}}", label, onset)
-        seq.ids.flags.writeable = True
-        seq.ids[rng.random(seq.ids.shape) < 0.1] = 0  # PAD spells "0", a valid id
-        corpus.append(seq)
+        ids = rng.integers(0, cards, size=(t_len, cards.size))  # PAD 0 included
+        corpus.append(BehaviorSequence(f"user-{i}:{{{seed}}}", ids, label, onset))
     text = io.StringIO()
     write_jsonl(text, corpus)
     for seq, line in zip(corpus, text.getvalue().splitlines()):
-        rec, ids = data_mod._compact_record(line, cards.astype(np.uint64))
+        rec, ids = data_mod._compact_record(line, cards)
         assert rec == {"user_id": seq.user_id, "label": seq.label,
                        "anomaly_onset": seq.anomaly_onset}
         assert ids.dtype == np.int64 and ids.flags.c_contiguous
