@@ -589,10 +589,10 @@ def parse_jsonl_line(line: str, lineno: int, cards: Optional[np.ndarray] = None,
     ``attrs`` through json; any other line, and any fault, takes the json
     path, so that both read a line alike and fail with the same text.
     """
-    compact = _compact_record(line, cards)
-    rec = _json_record(line, lineno) if compact is None else compact[0]
+    rec, ids = _compact_record(line, cards) or (_json_record(line, lineno), None)
     user_id = _user_id(rec, lineno)
-    ids = _json_ids(rec["attrs"], line, lineno, cards) if compact is None else compact[1]
+    if ids is None:
+        ids = _json_ids(rec["attrs"], line, lineno, cards)
     label, onset = _label(rec, lineno), rec["anomaly_onset"]
     if type(onset) not in (int, type(None)):
         raise SchemaError(f"line {lineno}: field 'anomaly_onset' must be an integer "
