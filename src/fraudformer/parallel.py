@@ -10,14 +10,19 @@ half of each batch (``score``). The layout never depends on the worker
 count, so neither do the results: one process runs the same blocks, shards
 and halves in turn.
 
-While a worker or the helper thread lives numpy's OpenBLAS runs at one
-thread, and its count comes back after. The worker freezes the collector,
-writes no file and no stdout, and leaves by ``os._exit``. Any exception in
-this process kills and reaps it, so no worker outlives its caller. Built on
-``os.fork``, pipes and, for parameters and gradients, anonymous shared
-``mmap``s; not on ``multiprocessing``. ``score`` takes a thread, not a fork:
-it shares the one heap, whose freed pages a forked parent would copy page
-by page.
+Importing this module sets numpy's OpenBLAS to one thread for the whole
+process, and a fork inherits it; there is no option. A GEMM's bits depend
+on its thread count, so at OpenBLAS's default, one thread per allowed CPU,
+a result would depend on the machine: a ``finetune-cl`` checkpoint did. Two
+processes at the default count also each ran 6x slower than one. The cost
+is that ``finetune-cl``, which runs whole in this process, uses one core.
+
+The worker freezes the collector, writes no file and no stdout, and leaves
+by ``os._exit``. Any exception in this process kills and reaps it, so no
+worker outlives its caller. Built on ``os.fork``, pipes and, for parameters
+and gradients, anonymous shared ``mmap``s; not on ``multiprocessing``.
+``score`` takes a thread, not a fork: it shares the one heap, whose freed
+pages a forked parent would copy page by page.
 """
 
 from __future__ import annotations
@@ -42,42 +47,29 @@ from .numerics import Adam, GradTape, Tensor
 __all__ = ["workers", "interleave_parts", "shard_slice", "map_halves", "train_steps"]
 
 
-@functools.cache
-def _openblas_threads() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None where numpy does not carry them (another BLAS, another build)."""
+def _one_openblas_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False, doing nothing,
+    where numpy does not carry its setter (another BLAS, another build)."""
     try:
         from numpy._core import _multiarray_umath
         # dlsym on the extension's handle also searches the libraries it links.
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
+        return False
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+    return True
+
+
+ONE_BLAS_THREAD = _one_openblas_thread()
 
 
 def workers() -> int:
     """Processes that the work is split between: one per allowed CPU, at
-    most 2, where numpy's OpenBLAS can be pinned to one thread; else 1.
-    Two processes at OpenBLAS's default threads each ran 6x slower than one."""
-    if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):
+    most 2, where numpy's OpenBLAS runs at one thread; else 1."""
+    if not ONE_BLAS_THREAD or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(2, len(os.sched_getaffinity(0)))
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run numpy's OpenBLAS at one thread inside, and at its old count after."""
-    get_threads, set_threads = _openblas_threads()
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def _serve(items: Callable[[], Iterator], sink) -> NoReturn:
@@ -130,32 +122,31 @@ def _worker(items: Callable[..., Iterator], what: str):
                 raise RuntimeError(value)
             yield value
 
-    with _one_blas_thread():
-        try:
-            up_read, up_write = os.pipe()
-            down_read, down_write = os.pipe()
-            with open(up_read, "rb") as up, open(up_write, "wb") as sink, \
-                    open(down_read, "rb") as inbox, open(down_write, "wb", buffering=0) as outbox:
-                with warnings.catch_warnings():
-                    # Python 3.12 on warns that a fork in a process with threads may
-                    # deadlock. The only other threads are OpenBLAS's, idle at one
-                    # thread, and OpenBLAS's atfork handler stops them before a fork.
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    # Ends left open here would keep a write to a full pipe blocked
-                    # for ever once the parent is gone, or a read waiting.
-                    up.close()
-                    outbox.close()
-                    _serve(lambda: items(inbox), sink)
-                sink.close()
-                inbox.close()
-                yield received(up), outbox
-        finally:
-            if pid and not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    try:
+        up_read, up_write = os.pipe()
+        down_read, down_write = os.pipe()
+        with open(up_read, "rb") as up, open(up_write, "wb") as sink, \
+                open(down_read, "rb") as inbox, open(down_write, "wb", buffering=0) as outbox:
+            with warnings.catch_warnings():
+                # Python 3.12 on warns that a fork in a process with threads may
+                # deadlock. The only other threads are OpenBLAS's, idle at one
+                # thread, and OpenBLAS's atfork handler stops them before a fork.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                # Ends left open here would keep a write to a full pipe blocked
+                # for ever once the parent is gone, or a read waiting.
+                up.close()
+                outbox.close()
+                _serve(lambda: items(inbox), sink)
+            sink.close()
+            inbox.close()
+            yield received(up), outbox
+    finally:
+        if pid and not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def interleave_parts(part: Callable[[int, int], Iterator], splits: bool) -> Iterator:
@@ -202,7 +193,7 @@ def map_halves(fn: Callable[[Sequence], list], batches: Iterable[Sequence]) -> I
         return
     # Imported here: it loads `logging`, about 0.5 MB that only this path needs.
     from concurrent.futures import ThreadPoolExecutor
-    with _one_blas_thread(), ThreadPoolExecutor(1) as helper:
+    with ThreadPoolExecutor(1) as helper:
         for batch in batches:
             if len(batch) < 2:
                 yield fn(batch)

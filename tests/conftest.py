@@ -1,6 +1,8 @@
 """Shared fixtures: tiny models and corpora small enough for fast tests."""
 
 import contextlib
+import ctypes
+import functools
 import os
 import threading
 
@@ -28,8 +30,26 @@ def pytest_terminal_summary(terminalreporter):
 
 
 needs_two_workers = pytest.mark.skipif(
-    parallel._openblas_threads() is None or not hasattr(os, "fork"),
+    not parallel.ONE_BLAS_THREAD or not hasattr(os, "fork"),
     reason="two workers need os.fork and numpy's OpenBLAS thread setter")
+
+
+@functools.cache
+def _openblas_get_threads():
+    """numpy's bundled OpenBLAS thread-count getter, or None where numpy does
+    not carry it. The program only sets the count, so the tests read it here."""
+    try:
+        from numpy._core import _multiarray_umath
+        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    return get
+
+
+def blas_threads() -> int:
+    """The thread count numpy's OpenBLAS runs at now."""
+    return _openblas_get_threads()()
 
 
 def assert_no_child():
@@ -41,21 +61,12 @@ def assert_no_child():
 @contextlib.contextmanager
 def no_thread_left():
     """No thread that the block started is left after it, and numpy's
-    OpenBLAS, set to 3 threads for the block, is back at 3 after it."""
+    OpenBLAS still runs at one thread."""
     count = threading.active_count()
-    blas = parallel._openblas_threads()
-    if blas is None:
-        yield
-    else:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(3)
-        try:
-            yield
-            assert get_threads() == 3
-        finally:
-            set_threads(threads)
+    yield
     assert threading.active_count() == count
+    if parallel.ONE_BLAS_THREAD:
+        assert blas_threads() == 1
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

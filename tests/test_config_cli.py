@@ -21,8 +21,8 @@ from fraudformer.data import GeneratorConfig
 from fraudformer.model import ModelConfig, PretrainConfig
 from fraudformer.numerics import Tensor
 from fraudformer.sft import AnomalyHeadConfig, SftConfig
-from tests.conftest import (assert_no_child, edit_checkpoint_config, needs_two_workers,
-                            no_thread_left)
+from tests.conftest import (assert_no_child, blas_threads, edit_checkpoint_config,
+                            needs_two_workers, no_thread_left)
 
 
 # --- config -----------------------------------------------------------------
@@ -555,7 +555,7 @@ def test_cli_score_streams_and_fails_on_a_late_malformed_line(scoring_run, tmp_p
 
 def score_with(monkeypatch, capsys, workers, ckpt, data, out):
     """``score`` run with ``workers``: (exit code, stderr). No thread is left
-    after it and OpenBLAS's thread count is back where it was."""
+    after it and OpenBLAS still runs at one thread."""
     monkeypatch.setattr(parallel, "workers", lambda: workers)
     with no_thread_left():
         rc = run_subcommand(["score", "--checkpoint", str(ckpt), "--data", str(data),
@@ -734,19 +734,12 @@ def blocks_corpus(scoring_run, path, n_users=37):
 def test_cli_embed_one_and_two_workers_write_the_same_bytes(scoring_run, tmp_path,
                                                              capsys, monkeypatch):
     data = blocks_corpus(scoring_run, tmp_path / "d.jsonl")
-    get_threads, set_threads = parallel._openblas_threads()
-    threads = get_threads()
-    set_threads(3)
-    try:
-        outs = []
-        for workers in (1, 2):
-            out = tmp_path / f"e{workers}.csv"
-            assert embed_with(monkeypatch, capsys, workers, scoring_run["pre"], data,
-                              out) == (0, "")
-            outs.append(out.read_bytes())
-        assert get_threads() == 3  # this process's BLAS threads are restored
-    finally:
-        set_threads(threads)
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"e{workers}.csv"
+        assert embed_with(monkeypatch, capsys, workers, scoring_run["pre"], data,
+                          out) == (0, "")
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 1 + 37
 
@@ -962,6 +955,91 @@ def test_cli_score_reuses_freed_heap_across_calls(tmp_path):
     first, second = json.loads(child.stdout.splitlines()[-1])
     assert len((tmp_path / "s.csv").read_text().splitlines()) > 1 + 3 * 64
     assert second < 1000, f"the score calls took {first} and {second} minor faults"
+
+
+# --- one OpenBLAS thread, so no artifact depends on the CPU count -------------
+
+def test_openblas_runs_at_one_thread_here_and_in_a_worker(monkeypatch):
+    """Importing ``fraudformer.parallel`` sets OpenBLAS to one thread, and a
+    forked ``interleave_parts`` worker inherits it."""
+    if not parallel.ONE_BLAS_THREAD:
+        pytest.skip("numpy's OpenBLAS thread setter is missing")
+    assert blas_threads() == 1
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    part = lambda w, n: iter([(w, blas_threads())])
+    assert list(parallel.interleave_parts(part, True)) == [(0, 1), (1, 1)]
+    assert_no_child()
+
+
+# Run in a fresh interpreter on the CPUs in argv[2]: the affinity is set
+# before numpy loads, since OpenBLAS reads it then. Runs the whole chain
+# through run_subcommand in the directory argv[1].
+CHAIN_SCRIPT = r"""
+import os, sys
+os.sched_setaffinity(0, [int(c) for c in sys.argv[2].split(",")])
+import contextlib, io, json
+from pathlib import Path
+from fraudformer.cli import run_subcommand
+
+d = Path(sys.argv[1])
+(d / "cfg.json").write_text(json.dumps({
+    "seed": 3, "data": {"n_users": 600, "fraud_fraction": 0.1}, "pretrain": {"steps": 20},
+    "sft": {"epochs": 1}, "contrastive": {"steps": 3, "batch_size": 16}}))
+common = ["--config", d / "cfg.json", "--data", d / "c.jsonl", "--vocab", d / "c.jsonl.vocab.json"]
+for argv in (["gen-data", "--config", d / "cfg.json", "--out", d / "c.jsonl"],
+             ["pretrain", *common, "--out", d / "pre.ckpt"],
+             ["finetune-sft", *common, "--checkpoint", d / "pre.ckpt", "--out", d / "sft.ckpt"],
+             ["finetune-cl", *common, "--checkpoint", d / "pre.ckpt", "--out", d / "cl.ckpt"],
+             ["score", "--checkpoint", d / "sft.ckpt", "--data", d / "c.jsonl", "--out", d / "s.csv"],
+             ["eval", "--scores", d / "s.csv", "--data", d / "c.jsonl", "--out", d / "e.csv"],
+             ["embed", "--checkpoint", d / "sft.ckpt", "--data", d / "c.jsonl",
+              "--out", d / "sft.emb.csv"],
+             ["embed", "--checkpoint", d / "cl.ckpt", "--data", d / "c.jsonl",
+              "--out", d / "cl.emb.csv"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_subcommand([str(a) for a in argv]) == 0, argv
+"""
+
+CHAIN_ARTIFACTS = ["c.jsonl", "pre.ckpt", "pre.ckpt.loss.csv", "sft.ckpt", "sft.ckpt.metrics.csv",
+                   "cl.ckpt", "cl.ckpt.loss.csv", "s.csv", "e.csv", "sft.emb.csv", "cl.emb.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not parallel.ONE_BLAS_THREAD,
+                    reason="needs 2 allowed CPUs and numpy's OpenBLAS thread setter")
+def test_chain_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
+    """gen-data -> pretrain -> finetune-sft -> finetune-cl -> score -> eval
+    -> embed of both tuned checkpoints, once on the first allowed CPU and
+    once on all of them (one worker against two, and OpenBLAS's default
+    thread count 1 against one per CPU): all 11 artifacts are the same
+    bytes. A
+    contrastive step at batch 16 takes a GEMM whose bits changed with
+    OpenBLAS's thread count."""
+    import fraudformer
+    cpus = sorted(os.sched_getaffinity(0))
+    # The thread count OpenBLAS would take from the environment is left unset.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(fraudformer.__file__).parents[1])
+    runs = []
+    for name, allowed in (("one", cpus[:1]), ("all", cpus)):
+        (tmp_path / name).mkdir()
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", CHAIN_SCRIPT, str(tmp_path / name),
+             ",".join(map(str, allowed))], stderr=subprocess.PIPE, env=env))
+    try:
+        for child in runs:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err.decode()
+    finally:
+        for child in runs:
+            child.kill()
+            child.wait()
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == sorted(
+        CHAIN_ARTIFACTS + ["cfg.json", "c.jsonl.vocab.json"])
+    differ = [name for name in CHAIN_ARTIFACTS
+              if (tmp_path / "one" / name).read_bytes() != (tmp_path / "all" / name).read_bytes()]
+    assert differ == []
 
 
 @pytest.mark.parametrize("command,ckpt,accepted", [

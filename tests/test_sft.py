@@ -328,9 +328,10 @@ def test_score_users_ignores_batch_size(scoring_model, mixed_length_corpus, monk
 def test_score_users_ignores_batch_size_at_the_default_model(monkeypatch, workers):
     """At the default model and head, where a row's GEMM kernel can change
     with the number of rows, every batch size and both halves of a batch
-    give each user the same bits."""
+    give each user the same bits, as score and as embedding."""
     from fraudformer.config import load_run_config
-    from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus
+    from fraudformer.contrastive import embed_batch
+    from fraudformer.data import GeneratorConfig, default_vocab, generate_corpus, window_sample
     cfg = load_run_config()
     mc, head_cfg = cfg.model_config(default_vocab()), cfg.head_config()
     assert head_cfg == AnomalyHeadConfig()
@@ -344,6 +345,12 @@ def test_score_users_ignores_batch_size_at_the_default_model(monkeypatch, worker
         with no_thread_left():
             got = score_users(params, mc, head_cfg, users, batch_size=batch_size)
         assert got == want
+    ids = [window_sample(s, mc.t_max) for s in users]
+    whole = embed_batch(ids, params, mc).data
+    for batch_size in (1, 7, 30, 64):
+        rows = [embed_batch(ids[lo:lo + batch_size], params, mc).data
+                for lo in range(0, len(ids), batch_size)]
+        np.testing.assert_array_equal(np.concatenate(rows), whole)
 
 
 def test_eval_rows_ignore_batch_neighbours(scoring_model, mixed_length_corpus):
